@@ -42,6 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -122,37 +123,31 @@ def _column_index(fieldnames: list[str], column, path) -> int:
                               f"(have {fieldnames})") from None
 
 
-def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
-    """Parse a (period, value) table; every period needs >= 2 finite values.
+def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ",",
+               header: bool = True) -> Iterator[tuple[Optional[str], float]]:
+    """Yield ``(label, value)`` for every data row; the label is None without a label column.
 
-    Non-numeric values are reported with their line numbers (all of them,
-    up to ten, in one error) instead of failing on the first.
+    Values must parse as finite floats. Blank rows are skipped. Malformed
+    rows are reported with their line numbers (all of them, up to ten, in
+    one error raised after the last row) instead of failing on the first.
     """
-    schema = schema if schema is not None else CsvSchema()
-    path = Path(path)
-    groups: dict[str, list[float]] = {}
-    order: list[str] = []
     bad_lines: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        line = 0
-        p_idx = v_idx = None
-        for row in reader:
-            line += 1
+        v_idx = l_idx = None
+        for line, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if p_idx is None:
-                if schema.header:
-                    names = [c.strip() for c in row]
-                    p_idx = _column_index(names, schema.period_column, path)
-                    v_idx = _column_index(names, schema.value_column, path)
+            if v_idx is None:
+                names = [c.strip() for c in row] if header else row
+                if label_column is not None:
+                    l_idx = _column_index(names, label_column, path)
+                v_idx = _column_index(names, value_column, path)
+                width = max(v_idx, l_idx or 0) + 1
+                if header:
                     continue
-                p_idx = _column_index(row, schema.period_column, path)
-                v_idx = _column_index(row, schema.value_column, path)
-            if max(p_idx, v_idx) >= len(row):
+            if len(row) < width:
                 bad_lines.append(f"line {line}: too few columns")
                 continue
-            label = row[p_idx].strip()
             raw = row[v_idx].strip()
             try:
                 value = float(raw)
@@ -162,57 +157,39 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
             if not math.isfinite(value):
                 bad_lines.append(f"line {line}: non-finite value {raw!r}")
                 continue
-            if label not in groups:
-                groups[label] = []
-                order.append(label)
-            groups[label].append(value)
+            yield (None if l_idx is None else row[l_idx].strip()), value
     if bad_lines:
         shown = "; ".join(bad_lines[:10])
         more = f" (+{len(bad_lines) - 10} more)" if len(bad_lines) > 10 else ""
         raise DataFormatError(f"{path}: {shown}{more}")
-    if not order:
+
+
+def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
+    """Parse a (period, value) table; every period needs >= 2 finite values.
+
+    Non-numeric values are reported with their line numbers (all of them,
+    up to ten, in one error) instead of failing on the first.
+    """
+    schema = schema if schema is not None else CsvSchema()
+    path = Path(path)
+    groups: dict[str, list[float]] = {}
+    for label, value in _read_rows(path, schema.value_column, schema.period_column,
+                                   schema.delimiter, schema.header):
+        groups.setdefault(label, []).append(value)
+    if not groups:
         raise DataFormatError(f"{path}: no data rows")
-    for label in order:
-        if len(groups[label]) < 2:
+    for label, values in groups.items():
+        if len(values) < 2:
             raise DataFormatError(
-                f"{path}: period {label!r} has {len(groups[label])} observation(s); need >= 2")
-    dists = {label: EmpiricalDistribution(groups[label]) for label in order}
-    return ObservationTable(tuple(order), dists)
+                f"{path}: period {label!r} has {len(values)} observation(s); need >= 2")
+    dists = {label: EmpiricalDistribution(values) for label, values in groups.items()}
+    return ObservationTable(tuple(groups), dists)
 
 
 def _read_value_column(path, column: str = "value") -> np.ndarray:
     """One numeric column from a headed CSV, with line-numbered error reporting."""
     path = Path(path)
-    values: list[float] = []
-    bad: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        idx = None
-        line = 0
-        for row in reader:
-            line += 1
-            if not row or all(not c.strip() for c in row):
-                continue
-            if idx is None:
-                idx = _column_index([c.strip() for c in row], column, path)
-                continue
-            if idx >= len(row):
-                bad.append(f"line {line}: too few columns")
-                continue
-            raw = row[idx].strip()
-            try:
-                v = float(raw)
-            except ValueError:
-                bad.append(f"line {line}: non-numeric value {raw!r}")
-                continue
-            if not math.isfinite(v):
-                bad.append(f"line {line}: non-finite value {raw!r}")
-                continue
-            values.append(v)
-    if bad:
-        shown = "; ".join(bad[:10])
-        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
-        raise DataFormatError(f"{path}: {shown}{more}")
+    values = [value for _, value in _read_rows(path, column)]
     if not values:
         raise DataFormatError(f"{path}: no numeric rows in column {column!r}")
     return np.asarray(values)
@@ -720,33 +697,35 @@ def _build_parser():
         o.add("--replace", _bool, True, "resample with replacement")
 
     def conf_phase(o: _Options):
-        _common_options(o, trials=200)
+        _common_options(o, trials=PhaseConfig.trials)
         o.add("--q", str, "gaussian:0,1,-8,8", "signal distribution specifier")
-        o.add("--n", int, 100_000, "sample size per trial")
-        o.add("--betas", _float_list, (0.2, 0.35, 0.5, 0.65, 0.8),
-              "comma-separated decay exponents")
-        o.add("--critical", float, 0.46136, "critical value for the scaled statistic")
+        o.add("--n", int, PhaseConfig.n, "sample size per trial")
+        o.add("--betas", _float_list, PhaseConfig.betas, "comma-separated decay exponents")
+        o.add("--critical", float, PhaseConfig.critical,
+              "critical value for the scaled statistic")
 
     def conf_powermap(o: _Options):
-        _common_options(o, trials=200, grid_k=4096)
-        o.add("--deltas", _float_list, (0.01, 0.03, 0.05, 0.07, 0.09, 0.11),
+        _common_options(o, trials=PowerMapConfig.trials, grid_k=PowerMapConfig.grid_k)
+        o.add("--deltas", _float_list, PowerMapConfig.deltas,
               "comma-separated signal strengths")
-        o.add("--gammas", _float_list, (3.5, 5.5, 7.5, 9.5, 11.75),
+        o.add("--gammas", _float_list, PowerMapConfig.gammas,
               "comma-separated boundary constants")
-        o.add("--n", int, 100_000, "sample size per trial")
-        o.add("--critical", float, 0.46136, "critical value for the scaled statistic")
-        o.add("--law-reps", int, 50_000, "draws of the boundary law per delta")
+        o.add("--n", int, PowerMapConfig.n, "sample size per trial")
+        o.add("--critical", float, PowerMapConfig.critical,
+              "critical value for the scaled statistic")
+        o.add("--law-reps", int, PowerMapConfig.law_reps,
+              "draws of the boundary law per delta")
 
     def conf_compare(o: _Options):
-        _common_options(o, trials=200)
-        o.add("--family", str, "sine", "signal family: sine or tail")
-        o.add("--p-grid", _float_list, (0.2, 0.4, 0.6, 0.8, 1.0),
+        _common_options(o, trials=ComparisonConfig.trials)
+        o.add("--family", str, ComparisonConfig.family, "signal family: sine or tail")
+        o.add("--p-grid", _float_list, ComparisonConfig.p_grid,
               "comma-separated family parameters")
-        o.add("--gammas", _float_list, (4.0, 7.0, 10.0),
+        o.add("--gammas", _float_list, ComparisonConfig.gammas,
               "comma-separated boundary constants")
-        o.add("--n", int, 100_000, "sample size per trial")
-        o.add("--critical", float, 0.46136, "Wasserstein critical value")
-        o.add("--ks-critical", float, 1.36, "KS critical value")
+        o.add("--n", int, ComparisonConfig.n, "sample size per trial")
+        o.add("--critical", float, ComparisonConfig.critical, "Wasserstein critical value")
+        o.add("--ks-critical", float, ComparisonConfig.ks_critical, "KS critical value")
 
     def conf_interpolate(o: _Options):
         _common_options(o)

@@ -1,12 +1,23 @@
 """One-dimensional distribution primitives.
 
-Analytic laws are bundles of vectorized ``cdf`` / ``quantile`` / ``density``
-callables plus support metadata; empirical laws are sorted samples with the
-order-statistic quantile. The built-in families cover the reference and
-signal distributions used by the testing and experiment layers: the unit
-uniform, (truncated) Gaussians, two quantile perturbations of the uniform
-(a sinusoidal bump and a tails-only deviation), and a symmetric two-point
-law.
+Every law exposes the same fields, whether it is analytic or a data
+sample: ``name``, the vectorized callables ``quantile_fn`` / ``cdf_fn`` /
+``density_fn`` (``None`` when there is no density), ``support``,
+``bounded_support``, ``quantile_breakpoints`` (points of (0, 1) where the
+quantile jumps or changes formula; the grid ``k/n`` for a sample),
+``quantile_is_identity`` and ``sampler_fn`` (``None`` unless the law
+samples other than by inverse transform). Distances, transport paths,
+statistics and limit laws read these fields and need not know which kind
+of law they hold. The public :meth:`quantile` / :meth:`cdf` methods add
+domain validation and scalar passthrough on top of the callables.
+
+Analytic laws (:class:`AnalyticDistribution`) store the fields directly;
+empirical laws (:class:`EmpiricalDistribution`) are sorted samples with
+the order-statistic quantile and derive them from the values. The
+built-in families cover the reference and signal distributions used by the
+testing and experiment layers: the unit uniform, (truncated) Gaussians,
+two quantile perturbations of the uniform (a sinusoidal bump and a
+tails-only deviation), and a symmetric two-point law.
 
 Conventions
 -----------
@@ -111,9 +122,19 @@ class AnalyticDistribution:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """A sorted sample with step cdf and order-statistic quantile."""
+    """A sorted sample with step cdf and order-statistic quantile.
+
+    Exposes the same fields as :class:`AnalyticDistribution`, derived from
+    the values: the quantile jumps on the grid ``k/n``, the support is the
+    sample range, and there is no density.
+    """
 
     values: np.ndarray = field(repr=False)
+
+    density_fn = None
+    bounded_support = True
+    quantile_is_identity = False
+    sampler_fn = None
 
     def __post_init__(self):
         v = np.sort(_as_float_array(self.values).ravel())
@@ -129,8 +150,23 @@ class EmpiricalDistribution:
         return int(self.values.size)
 
     @property
+    def name(self) -> str:
+        return f"empirical(n={self.n})"
+
+    @property
     def support(self) -> tuple[float, float]:
         return float(self.values[0]), float(self.values[-1])
+
+    @property
+    def quantile_breakpoints(self) -> np.ndarray:
+        return np.arange(1, self.n) / self.n
+
+    def quantile_fn(self, u: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.ceil(self.n * u).astype(np.int64), 1, self.n)
+        return self.values[idx - 1]
+
+    def cdf_fn(self, x: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.values, x, side="right") / self.n
 
     def quantile(self, u):
         """Order-statistic quantile: the ``ceil(n*u)``-th sorted value, u in (0, 1]."""
@@ -138,13 +174,11 @@ class EmpiricalDistribution:
         uu = _as_float_array(u)
         if np.any((uu <= 0.0) | (uu > 1.0)):
             raise DomainError("empirical quantile requires u in (0, 1]")
-        idx = np.clip(np.ceil(self.n * uu).astype(np.int64), 1, self.n)
-        return _scalar_or_array(self.values[idx - 1], scalar)
+        return _scalar_or_array(self.quantile_fn(uu), scalar)
 
     def cdf(self, x):
         scalar = np.isscalar(x)
-        xx = _as_float_array(x)
-        out = np.searchsorted(self.values, xx, side="right") / self.n
+        out = self.cdf_fn(_as_float_array(x))
         return _scalar_or_array(np.asarray(out, dtype=float), scalar)
 
     def __repr__(self) -> str:
@@ -206,18 +240,25 @@ def _tail_quantile_slope(p: float, u: np.ndarray) -> np.ndarray:
 # Monotone inversion helpers (vectorized bisection)
 # ---------------------------------------------------------------------------
 
-def _invert_quantile_unit(quantile_fn: Callable[[np.ndarray], np.ndarray]):
-    """CDF of a law whose continuous quantile maps [0, 1] onto its support."""
+def _cdf_from_quantile(quantile_fn: Callable[[np.ndarray], np.ndarray],
+                       lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """CDF of a law with a continuous nondecreasing quantile, by bisection.
+
+    The search runs over ``u in [lo, hi]``: laws whose quantile is defined
+    on the closed unit interval pass ``(0, 1)``, laws whose quantile may
+    diverge at the ends pass a bracket strictly inside it.
+    """
 
     def cdf(x: np.ndarray) -> np.ndarray:
-        lo = np.zeros_like(x)
-        hi = np.ones_like(x)
+        xx = np.asarray(x, dtype=float)
+        a = np.full(xx.shape, lo)
+        b = np.full(xx.shape, hi)
         for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            right = quantile_fn(mid) < x
-            lo = np.where(right, mid, lo)
-            hi = np.where(right, hi, mid)
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (a + b)
+            right = quantile_fn(mid) < xx
+            a = np.where(right, mid, a)
+            b = np.where(right, b, mid)
+        return 0.5 * (a + b)
 
     return cdf
 
@@ -300,7 +341,7 @@ def sine_distribution(p: float) -> AnalyticDistribution:
     def q(u):
         return u + (p / (2.0 * math.pi)) * np.sin(2.0 * math.pi * u)
 
-    inv = _invert_quantile_unit(q)
+    inv = _cdf_from_quantile(q, 0.0, 1.0)
 
     def dens(x):
         inside = (x >= 0.0) & (x <= 1.0)
@@ -327,7 +368,7 @@ def tail_distribution(p: float) -> AnalyticDistribution:
     def q(u):
         return tail_quantile(p, u)
 
-    inv = _invert_quantile_unit(q)
+    inv = _cdf_from_quantile(q, 0.0, 1.0)
     lo = float(tail_quantile(p, 0.0))
     hi = float(tail_quantile(p, 1.0))
 
@@ -478,12 +519,8 @@ def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "sample")
-    if isinstance(dist, AnalyticDistribution) and dist.sampler_fn is not None:
+    if dist.sampler_fn is not None:
         values = dist.sampler_fn(int(n), rng)
     else:
-        u = _open_uniforms(rng, int(n))
-        if isinstance(dist, EmpiricalDistribution):
-            values = dist.quantile(u)
-        else:
-            values = dist.quantile_fn(u)
+        values = dist.quantile_fn(_open_uniforms(rng, int(n)))
     return EmpiricalDistribution(values)

@@ -31,7 +31,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from ._seeds import derive_rng, derive_seed
 from .distributions import (
     AnalyticDistribution,
     Distribution,
-    EmpiricalDistribution,
     _open_uniforms,
     gaussian,
     sine_distribution,
@@ -56,7 +55,6 @@ from .transport import (
     plan_scaled_statistic,
     quadratic_weight,
     scaled_statistics,
-    _quantile_fn,
 )
 
 __all__ = [
@@ -149,12 +147,6 @@ def _prob_cell(axes: tuple[float, ...], metric: str, value: float, trials: int) 
                 _binomial_se(value, trials), int(trials))
 
 
-def _name(dist: Distribution) -> str:
-    if isinstance(dist, EmpiricalDistribution):
-        return f"empirical(n={dist.n})"
-    return dist.name
-
-
 # ---------------------------------------------------------------------------
 # Sample generation (exact pushforward along the transport path)
 # ---------------------------------------------------------------------------
@@ -164,7 +156,7 @@ def _sorted_shift_blocks(null: AnalyticDistribution, signal: Optional[Distributi
                          rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Sorted samples of ``(1 - eps) X + eps T(X)`` in memory-bounded blocks."""
     null_q = null.quantile_fn
-    signal_q = _quantile_fn(signal) if signal is not None else None
+    signal_q = signal.quantile_fn if signal is not None else None
     rows = max(1, _BLOCK_SCALARS // max(n, 1))
     done = 0
     while done < trials:
@@ -179,14 +171,25 @@ def _sorted_shift_blocks(null: AnalyticDistribution, signal: Optional[Distributi
         done += m
 
 
-def _rejection_rate(blocks: Iterator[np.ndarray], plan, critical: float) -> float:
-    rejected = 0
-    total = 0
+Statistic = Callable[[np.ndarray], np.ndarray]
+
+
+def _w2_statistic(plan) -> Statistic:
+    return lambda block: scaled_statistics(block, plan)
+
+
+def _reject_counts(blocks: Iterator[np.ndarray],
+                   tests: list[tuple[Statistic, float]]) -> list[int]:
+    """Rejections of each ``(statistic, critical value)`` pair over all blocks.
+
+    Each block of sorted samples is generated once and scored by every
+    statistic; a row is rejected when its statistic exceeds the critical value.
+    """
+    counts = [0] * len(tests)
     for block in blocks:
-        stats = scaled_statistics(block, plan)
-        rejected += int(np.count_nonzero(stats > critical))
-        total += stats.size
-    return rejected / total
+        for i, (statistic, critical) in enumerate(tests):
+            counts[i] += int(np.count_nonzero(statistic(block) > critical))
+    return counts
 
 
 def _clamped_eps(gamma: float, n: int) -> float:
@@ -239,18 +242,20 @@ class PhaseConfig:
 
 def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
     """Type I, Type II and their sum for each decay exponent beta."""
-    plan = plan_scaled_statistic(cfg.null, cfg.omega, cfg.n)
+    tests = [(_w2_statistic(plan_scaled_statistic(cfg.null, cfg.omega, cfg.n)),
+              cfg.critical)]
     cells: list[Cell] = []
     for beta in cfg.betas:
         eps = float(cfg.n) ** (-beta)
         null_rng = derive_rng(cfg.seed, "phase-null", repr(float(beta)), cfg.n)
         alt_rng = derive_rng(cfg.seed, "phase-alt", repr(float(beta)), cfg.n)
-        type1 = _rejection_rate(
-            _sorted_shift_blocks(cfg.null, None, 0.0, cfg.n, cfg.trials, null_rng),
-            plan, cfg.critical)
-        type2 = 1.0 - _rejection_rate(
+        [rej_null] = _reject_counts(
+            _sorted_shift_blocks(cfg.null, None, 0.0, cfg.n, cfg.trials, null_rng), tests)
+        [rej_alt] = _reject_counts(
             _sorted_shift_blocks(cfg.null, cfg.signal, eps, cfg.n, cfg.trials, alt_rng),
-            plan, cfg.critical)
+            tests)
+        type1 = rej_null / cfg.trials
+        type2 = 1.0 - rej_alt / cfg.trials
         c1 = _prob_cell((beta,), "type1", type1, cfg.trials)
         c2 = _prob_cell((beta,), "type2", type2, cfg.trials)
         total = type1 + type2
@@ -262,8 +267,8 @@ def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
                           math.hypot(c1.se, c2.se), cfg.trials))
     config = {
         "experiment": "phase_transition",
-        "null": _name(cfg.null),
-        "signal": _name(cfg.signal),
+        "null": cfg.null.name,
+        "signal": cfg.signal.name,
         "n": cfg.n,
         "betas": list(cfg.betas),
         "trials": cfg.trials,
@@ -316,14 +321,13 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     """
     null = uniform01()
     omega = lebesgue()
-    plan = plan_scaled_statistic(null, omega, cfg.n)
+    tests = [(_w2_statistic(plan_scaled_statistic(null, omega, cfg.n)), cfg.critical)]
     cells: list[Cell] = []
 
     cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
-    type1 = _rejection_rate(
-        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng),
-        plan, cfg.critical)
-    cells.append(_prob_cell((0.0, 0.0), "type1", type1, cfg.trials))
+    [rejected] = _reject_counts(
+        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng), tests)
+    cells.append(_prob_cell((0.0, 0.0), "type1", rejected / cfg.trials, cfg.trials))
 
     grid = BridgeGrid(cfg.grid_k)
     for delta in cfg.deltas:
@@ -337,18 +341,17 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
             eps = _clamped_eps(gamma, cfg.n)
             rng = derive_rng(cfg.seed, "shift-trials", "sine", repr(float(p)),
                              repr(float(gamma)), cfg.n)
-            reject = _rejection_rate(
-                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng),
-                plan, cfg.critical)
+            [rejected] = _reject_counts(
+                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng), tests)
             threshold = cfg.critical - gamma * gamma * delta_sq
             theo = float(np.mean(quad + 2.0 * gamma * cross <= threshold))
             cells.append(_prob_cell((delta, gamma), "type2_empirical",
-                                    1.0 - reject, cfg.trials))
+                                    1.0 - rejected / cfg.trials, cfg.trials))
             cells.append(_prob_cell((delta, gamma), "type2_theoretical",
                                     theo, cfg.law_reps))
     config = {
         "experiment": "power_map",
-        "null": _name(null),
+        "null": null.name,
         "deltas": list(cfg.deltas),
         "gammas": list(cfg.gammas),
         "n": cfg.n,
@@ -391,17 +394,15 @@ def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
     """Power of both tests per (p, gamma), plus null calibration at (0, 0)."""
     null = uniform01()
     omega = lebesgue()
-    plan = plan_scaled_statistic(null, omega, cfg.n)
+    tests = [(_w2_statistic(plan_scaled_statistic(null, omega, cfg.n)), cfg.critical),
+             (lambda block: ks_statistics_sorted(block, null), cfg.ks_critical)]
     cells: list[Cell] = []
 
     cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
-    rej_w = rej_ks = total = 0
-    for block in _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng):
-        rej_w += int(np.count_nonzero(scaled_statistics(block, plan) > cfg.critical))
-        rej_ks += int(np.count_nonzero(ks_statistics_sorted(block, null) > cfg.ks_critical))
-        total += block.shape[0]
-    cells.append(_prob_cell((0.0, 0.0), "type1_w2", rej_w / total, cfg.trials))
-    cells.append(_prob_cell((0.0, 0.0), "type1_ks", rej_ks / total, cfg.trials))
+    rej_w, rej_ks = _reject_counts(
+        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng), tests)
+    cells.append(_prob_cell((0.0, 0.0), "type1_w2", rej_w / cfg.trials, cfg.trials))
+    cells.append(_prob_cell((0.0, 0.0), "type1_ks", rej_ks / cfg.trials, cfg.trials))
 
     for p in cfg.p_grid:
         signal = _family_distribution(cfg.family, p)
@@ -409,18 +410,13 @@ def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
             eps = _clamped_eps(gamma, cfg.n)
             rng = derive_rng(cfg.seed, "shift-trials", cfg.family, repr(float(p)),
                              repr(float(gamma)), cfg.n)
-            rej_w = rej_ks = total = 0
-            for block in _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng):
-                rej_w += int(np.count_nonzero(
-                    scaled_statistics(block, plan) > cfg.critical))
-                rej_ks += int(np.count_nonzero(
-                    ks_statistics_sorted(block, null) > cfg.ks_critical))
-                total += block.shape[0]
-            cells.append(_prob_cell((p, gamma), "power_w2", rej_w / total, cfg.trials))
-            cells.append(_prob_cell((p, gamma), "power_ks", rej_ks / total, cfg.trials))
+            rej_w, rej_ks = _reject_counts(
+                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng), tests)
+            cells.append(_prob_cell((p, gamma), "power_w2", rej_w / cfg.trials, cfg.trials))
+            cells.append(_prob_cell((p, gamma), "power_ks", rej_ks / cfg.trials, cfg.trials))
     config = {
         "experiment": "ks_comparison",
-        "null": _name(null),
+        "null": null.name,
         "family": cfg.family,
         "p_grid": list(cfg.p_grid),
         "gammas": list(cfg.gammas),
@@ -488,28 +484,29 @@ def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
                 seed=derive_seed(cfg.seed, "critval-weight", repr(float(a))))
             criticals[a] = critical_value(sampler, cfg.alpha, cfg.law_reps).value
 
-    cells: list[Cell] = []
-    for a in cfg.a_values:
-        cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
-        type1 = _rejection_rate(
-            _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng),
-            plans[a], criticals[a])
-        cells.append(_prob_cell((a, 0.0, 0.0), "type1", type1, cfg.trials))
+    # The sample streams do not depend on a, so each block is drawn once and
+    # scored by every weight's plan.
+    tests = [(_w2_statistic(plans[a]), criticals[a]) for a in cfg.a_values]
+    cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
+    type1 = _reject_counts(
+        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng), tests)
+    power: dict[tuple[float, float], list[int]] = {}
+    for p in cfg.p_grid:
+        signal = _family_distribution(cfg.family, p)
+        for gamma in cfg.gammas:
+            eps = _clamped_eps(gamma, cfg.n)
+            rng = derive_rng(cfg.seed, "shift-trials", cfg.family, repr(float(p)),
+                             repr(float(gamma)), cfg.n)
+            power[p, gamma] = _reject_counts(
+                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng), tests)
 
-    for a in cfg.a_values:
-        for p in cfg.p_grid:
-            signal = _family_distribution(cfg.family, p)
-            for gamma in cfg.gammas:
-                eps = _clamped_eps(gamma, cfg.n)
-                rng = derive_rng(cfg.seed, "shift-trials", cfg.family, repr(float(p)),
-                                 repr(float(gamma)), cfg.n)
-                power = _rejection_rate(
-                    _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng),
-                    plans[a], criticals[a])
-                cells.append(_prob_cell((a, p, gamma), "power", power, cfg.trials))
+    cells = [_prob_cell((a, 0.0, 0.0), "type1", type1[i] / cfg.trials, cfg.trials)
+             for i, a in enumerate(cfg.a_values)]
+    cells += [_prob_cell((a, p, gamma), "power", power[p, gamma][i] / cfg.trials, cfg.trials)
+              for i, a in enumerate(cfg.a_values) for p in cfg.p_grid for gamma in cfg.gammas]
     config = {
         "experiment": "weight_comparison",
-        "null": _name(null),
+        "null": null.name,
         "family": cfg.family,
         "a_values": list(cfg.a_values),
         "p_grid": list(cfg.p_grid),

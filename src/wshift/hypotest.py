@@ -84,24 +84,14 @@ def ks_statistic(samples: EmpiricalDistribution, null: Distribution) -> float:
 
     The supremum is attained at sample points and computed there exactly.
     """
-    values = samples.values
-    n = samples.n
-    if isinstance(null, EmpiricalDistribution):
-        f = null.cdf(values)
-    else:
-        f = null.cdf_fn(values)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
-    return math.sqrt(n) * float(max(d_plus, d_minus))
+    return float(ks_statistics_sorted(samples.values, null)[0])
 
 
 def ks_statistics_sorted(sorted_samples: np.ndarray, null: Distribution) -> np.ndarray:
     """KS statistics for each row of a matrix of sorted samples."""
     x = np.atleast_2d(np.asarray(sorted_samples, dtype=float))
     n = x.shape[1]
-    cdf = null.cdf if isinstance(null, EmpiricalDistribution) else null.cdf_fn
-    f = cdf(x.ravel()).reshape(x.shape)
+    f = null.cdf_fn(x.ravel()).reshape(x.shape)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f, axis=1)
     d_minus = np.max(f - (i - 1) / n, axis=1)
@@ -174,12 +164,15 @@ class TestOutcome:
     provenance: dict
 
     def __post_init__(self):
-        assert self.reject == (self.statistic > self.critical_value)
+        if self.reject != (self.statistic > self.critical_value):
+            raise AssertionError(
+                f"reject={self.reject} contradicts statistic {self.statistic} "
+                f"vs critical value {self.critical_value}")
 
 
 def _limit_sampler(config: TestConfig, grid_k: int, seed: int) -> LimitLawSampler:
     null = config.null_dist
-    if not isinstance(null, AnalyticDistribution) or null.density_fn is None:
+    if null.density_fn is None:
         raise ParameterError(
             "tabulated/limit-law critical sources need an analytic null with a density; "
             "use a resampling source for data-defined nulls")
@@ -227,7 +220,7 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
     source = config.critical_source
     provenance: dict = {
         "seed": int(seed),
-        "null": _describe_dist(config.null_dist),
+        "null": config.null_dist.name,
         "omega": config.omega.describe(),
         "alpha": config.alpha,
     }
@@ -268,12 +261,6 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
         n=samples.n,
         provenance=provenance,
     )
-
-
-def _describe_dist(dist: Distribution) -> str:
-    if isinstance(dist, EmpiricalDistribution):
-        return f"empirical(n={dist.n})"
-    return dist.name
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from ._seeds import derive_rng, derive_seed
 from .distributions import AnalyticDistribution, Distribution
 from .errors import ParameterError, SingularDensityError
-from .transport import WeightMeasure, lebesgue, w2_weighted_squared, _quantile_fn
+from .transport import WeightMeasure, lebesgue, w2_weighted_squared
 
 __all__ = [
     "BridgeGrid",
@@ -106,7 +106,7 @@ class LimitLawSampler:
                            omega: WeightMeasure | None = None,
                            grid: BridgeGrid | None = None,
                            seed: int = 0) -> "LimitLawSampler":
-        if not isinstance(null, AnalyticDistribution) or null.density_fn is None:
+        if null.density_fn is None:
             raise ParameterError("limit-law sampling needs an analytic null with a density")
         omega = omega if omega is not None else lebesgue()
         grid = grid if grid is not None else BridgeGrid()
@@ -118,7 +118,7 @@ class LimitLawSampler:
         gap = None
         strength = None
         if signal is not None:
-            signal_q = _quantile_fn(signal)
+            signal_q = signal.quantile_fn
 
             def gap(u):
                 uu = np.asarray(u, dtype=float)
@@ -283,7 +283,7 @@ def case_ii_variance(null: AnalyticDistribution, signal: Distribution,
     omega x omega, where gap is the signal-minus-null quantile difference.
     Equals four times the variance of the cross term of the boundary law.
     """
-    if not isinstance(null, AnalyticDistribution) or null.density_fn is None:
+    if null.density_fn is None:
         raise ParameterError("case (ii) variance needs an analytic null with a density")
     omega = omega if omega is not None else lebesgue()
     lo, hi = omega.window
@@ -294,7 +294,7 @@ def case_ii_variance(null: AnalyticDistribution, signal: Distribution,
     if np.any(pf[w > 0.0] < _DENSITY_FLOOR):
         raise SingularDensityError(
             "null density at quantile is numerically singular on the window")
-    gap = _quantile_fn(signal)(u) - null.quantile_fn(u)
+    gap = signal.quantile_fn(u) - null.quantile_fn(u)
     t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
     kernel = np.minimum.outer(u, u) - np.outer(u, u)
     return float(4.0 * t @ kernel @ t)

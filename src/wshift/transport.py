@@ -30,6 +30,7 @@ from .distributions import (
     AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
+    _cdf_from_quantile,
     _invert_cdf,
     _open_uniforms,
 )
@@ -207,34 +208,11 @@ def _panel_nodes(edges: np.ndarray, max_panel: float = _DEFAULT_MAX_PANEL,
 
 
 # ---------------------------------------------------------------------------
-# Access helpers for the two distribution kinds
+# Integration support
 # ---------------------------------------------------------------------------
 
-def _quantile_fn(dist: Distribution) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(dist, EmpiricalDistribution):
-        return dist.quantile
-    return dist.quantile_fn
-
-
-def _cdf_fn(dist: Distribution) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(dist, EmpiricalDistribution):
-        return dist.cdf
-    return dist.cdf_fn
-
-
-def _jump_grid(n: int) -> np.ndarray:
-    return np.arange(1, n) / n
-
-
-def _breakpoints(dist: Distribution) -> np.ndarray:
-    if isinstance(dist, EmpiricalDistribution):
-        return _jump_grid(dist.n)
-    return np.asarray(dist.quantile_breakpoints, dtype=float)
-
-
 def _check_integrable(dist: Distribution, omega: WeightMeasure) -> None:
-    if (isinstance(dist, AnalyticDistribution) and not dist.bounded_support
-            and omega.trim == 0.0):
+    if not dist.bounded_support and omega.trim == 0.0:
         raise UnboundedSupportError(
             f"{dist.name} has unbounded support; its quantile diverges at the ends of "
             "(0, 1). Use a trimmed weight measure (trim > 0) or truncate the "
@@ -246,7 +224,7 @@ def _segment_edges(omega: WeightMeasure, *dists: Distribution) -> np.ndarray:
     lo, hi = omega.window
     pts = [np.array([lo, hi])]
     for d in dists:
-        b = _breakpoints(d)
+        b = np.asarray(d.quantile_breakpoints, dtype=float)
         if b.size:
             pts.append(b[(b > lo) & (b < hi)])
     return np.unique(np.concatenate(pts))
@@ -260,7 +238,7 @@ def _gap_power_integral(mu: Distribution, nu: Distribution, omega: WeightMeasure
                         power: float) -> float:
     edges = _segment_edges(omega, mu, nu)
     nodes, wts = _panel_nodes(edges)
-    gap = _quantile_fn(mu)(nodes) - _quantile_fn(nu)(nodes)
+    gap = mu.quantile_fn(nodes) - nu.quantile_fn(nodes)
     if power == 2.0:
         integrand = gap * gap
     else:
@@ -299,9 +277,8 @@ def w2_weighted_squared(mu: Distribution, nu: Distribution,
         return _emp_emp_sq(mu, nu, omega)
     if isinstance(nu, EmpiricalDistribution):  # keep the empirical side first
         mu, nu = nu, mu
-    if (isinstance(mu, EmpiricalDistribution)
-            and isinstance(nu, AnalyticDistribution)
-            and nu.quantile_is_identity and omega.poly is not None):
+    if (isinstance(mu, EmpiricalDistribution) and nu.quantile_is_identity
+            and omega.poly is not None):
         plan = plan_scaled_statistic(nu, omega, mu.n)
         return float(scaled_statistics(mu.values[None, :], plan)[0]) / mu.n
     return _gap_power_integral(mu, nu, omega, 2.0)
@@ -433,7 +410,7 @@ def transport_map(source: AnalyticDistribution, target: Distribution) -> Callabl
     the source; evaluation outside the support raises a domain error.
     """
     slo, shi = source.support
-    target_q = _quantile_fn(target)
+    target_q = target.quantile_fn
     source_cdf = source.cdf_fn
 
     def T(x):
@@ -463,24 +440,24 @@ def displacement_interpolate(source: Distribution, target: Distribution,
         return source
     if eps == 1.0:
         return target
-    qa, qb = _quantile_fn(source), _quantile_fn(target)
+    qa, qb = source.quantile_fn, target.quantile_fn
     e = float(eps)
 
     def quantile(u):
         return (1.0 - e) * qa(u) + e * qb(u)
 
-    cdf = _invert_cdf_from_quantile(quantile)
-    bks = np.unique(np.concatenate([_breakpoints(source), _breakpoints(target)]))
-    slo_a, shi_a = _support_of(source)
-    slo_b, shi_b = _support_of(target)
-    name_a, name_b = _name_of(source), _name_of(target)
+    cdf = _cdf_from_quantile(quantile, _CDF_CLIP, 1.0 - _CDF_CLIP)
+    bks = np.unique(np.concatenate([source.quantile_breakpoints,
+                                    target.quantile_breakpoints]))
+    slo_a, shi_a = source.support
+    slo_b, shi_b = target.support
     return AnalyticDistribution(
-        name=f"displacement({name_a},{name_b},{e:g})",
+        name=f"displacement({source.name},{target.name},{e:g})",
         cdf_fn=cdf,
         quantile_fn=quantile,
         density_fn=None,
         support=((1 - e) * slo_a + e * slo_b, (1 - e) * shi_a + e * shi_b),
-        bounded_support=_is_bounded(source) and _is_bounded(target),
+        bounded_support=source.bounded_support and target.bounded_support,
         compact_support_ok=False,
         quantile_breakpoints=tuple(bks),
     )
@@ -500,8 +477,8 @@ def linear_interpolate(source: Distribution, target: Distribution,
     if gamma == 1.0:
         return target
     g = float(gamma)
-    fa, fb = _cdf_fn(source), _cdf_fn(target)
-    qa, qb = _quantile_fn(source), _quantile_fn(target)
+    fa, fb = source.cdf_fn, target.cdf_fn
+    qa, qb = source.quantile_fn, target.quantile_fn
 
     def cdf(x):
         return (1.0 - g) * fa(x) + g * fb(x)
@@ -513,8 +490,7 @@ def linear_interpolate(source: Distribution, target: Distribution,
     quantile = _invert_cdf(cdf, bracket)
 
     dens = None
-    da = source.density_fn if isinstance(source, AnalyticDistribution) else None
-    db = target.density_fn if isinstance(target, AnalyticDistribution) else None
+    da, db = source.density_fn, target.density_fn
     if da is not None and db is not None:
         dens = lambda x: (1.0 - g) * da(x) + g * db(x)
 
@@ -523,51 +499,18 @@ def linear_interpolate(source: Distribution, target: Distribution,
         u = _open_uniforms(rng, n)
         return np.where(pick_target, qb(u), qa(u))
 
-    slo_a, shi_a = _support_of(source)
-    slo_b, shi_b = _support_of(target)
+    slo_a, shi_a = source.support
+    slo_b, shi_b = target.support
     return AnalyticDistribution(
-        name=f"mixture({_name_of(source)},{_name_of(target)},{g:g})",
+        name=f"mixture({source.name},{target.name},{g:g})",
         cdf_fn=cdf,
         quantile_fn=quantile,
         density_fn=dens,
         support=(min(slo_a, slo_b), max(shi_a, shi_b)),
-        bounded_support=_is_bounded(source) and _is_bounded(target),
+        bounded_support=source.bounded_support and target.bounded_support,
         compact_support_ok=False,
         sampler_fn=sampler,
     )
-
-
-def _support_of(dist: Distribution) -> tuple[float, float]:
-    return dist.support
-
-
-def _name_of(dist: Distribution) -> str:
-    if isinstance(dist, EmpiricalDistribution):
-        return f"empirical(n={dist.n})"
-    return dist.name
-
-
-def _is_bounded(dist: Distribution) -> bool:
-    if isinstance(dist, EmpiricalDistribution):
-        return True
-    return dist.bounded_support
-
-
-def _invert_cdf_from_quantile(quantile_fn: Callable) -> Callable:
-    """CDF of a law given by a nondecreasing quantile on (0, 1)."""
-
-    def cdf(x: np.ndarray) -> np.ndarray:
-        xx = np.asarray(x, dtype=float)
-        lo = np.full(xx.shape, _CDF_CLIP)
-        hi = np.full(xx.shape, 1.0 - _CDF_CLIP)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            right = quantile_fn(mid) < xx
-            lo = np.where(right, mid, lo)
-            hi = np.where(right, hi, mid)
-        return 0.5 * (lo + hi)
-
-    return cdf
 
 
 def relative_distance_curve(series: Sequence[EmpiricalDistribution],
@@ -660,8 +603,8 @@ def _plan_vs_analytic(null: AnalyticDistribution, omega: WeightMeasure,
 def _plan_vs_empirical(null: EmpiricalDistribution, omega: WeightMeasure,
                        n: int) -> StatisticPlan:
     lo, hi = omega.window
-    sample_jumps = _jump_grid(n)
-    ref_jumps = _jump_grid(null.n)
+    sample_jumps = np.arange(1, n) / n
+    ref_jumps = null.quantile_breakpoints
     edges = np.unique(np.concatenate([
         np.array([lo, hi]),
         sample_jumps[(lo < sample_jumps) & (sample_jumps < hi)],

@@ -22,6 +22,7 @@ from wshift.distributions import (
     uniform01,
 )
 from wshift.errors import DomainError, EmptySampleError, ParameterError
+from wshift.transport import displacement_interpolate, linear_interpolate
 
 
 CONTINUOUS_FAMILIES = [
@@ -60,6 +61,52 @@ class TestQuantileCdfDuality:
             uniform01().quantile(0.0)
         with pytest.raises(DomainError):
             uniform01().quantile(1.0)
+
+
+_DATA = EmpiricalDistribution(np.random.default_rng(3).normal(size=37))
+
+# one law of every kind: each factory, each transformation, each path, a sample
+EVERY_LAW_KIND = [
+    pytest.param(uniform01(), id="uniform01"),
+    pytest.param(gaussian(0.0, 1.0), id="gaussian"),
+    pytest.param(sine_distribution(0.6), id="sine"),
+    pytest.param(tail_distribution(0.2), id="tail"),
+    pytest.param(two_point(-1.0, 2.0), id="twopoint"),
+    pytest.param(truncate(gaussian(0.0, 1.0), -2.0, 2.0), id="truncate"),
+    pytest.param(affine(sine_distribution(0.4), -2.0, 1.0), id="affine"),
+    pytest.param(displacement_interpolate(uniform01(), _DATA, 0.3), id="displacement"),
+    pytest.param(linear_interpolate(uniform01(), tail_distribution(0.3), 0.4), id="mixture"),
+    pytest.param(_DATA, id="empirical"),
+]
+
+
+class TestDistributionProtocol:
+    @pytest.mark.parametrize("dist", EVERY_LAW_KIND)
+    def test_fields_present(self, dist):
+        assert isinstance(dist.name, str) and dist.name
+        assert callable(dist.quantile_fn) and callable(dist.cdf_fn)
+        assert dist.density_fn is None or callable(dist.density_fn)
+        assert dist.sampler_fn is None or callable(dist.sampler_fn)
+        assert isinstance(dist.bounded_support, bool)
+        assert isinstance(dist.quantile_is_identity, bool)
+        bks = np.asarray(dist.quantile_breakpoints, dtype=float)
+        assert np.all((bks > 0.0) & (bks < 1.0)) and np.all(np.diff(bks) > 0.0)
+        lo, hi = dist.support
+        assert lo <= hi
+
+    @pytest.mark.parametrize("dist", EVERY_LAW_KIND)
+    def test_callables_match_public_methods(self, dist):
+        u = np.linspace(0.001, 0.999, 999)
+        x = np.linspace(-3.0, 3.0, 601)
+        assert np.array_equal(dist.quantile_fn(u), dist.quantile(u))
+        assert np.array_equal(dist.cdf_fn(x), dist.cdf(x))
+
+    def test_empirical_fields(self):
+        d = EmpiricalDistribution([3.0, 1.0, 2.0, 2.0])
+        assert d.name == "empirical(n=4)"
+        assert np.array_equal(d.quantile_breakpoints, [0.25, 0.5, 0.75])
+        assert d.density_fn is None and d.sampler_fn is None
+        assert d.bounded_support and not d.quantile_is_identity
 
 
 class TestEmpirical:

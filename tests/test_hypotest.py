@@ -1,9 +1,16 @@
 """Tests for the goodness-of-fit statistics, decision rule, and resampling ops."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import wshift
 
 from wshift._seeds import derive_rng
 from wshift.distributions import (
@@ -11,6 +18,10 @@ from wshift.distributions import (
     affine,
     gaussian,
     sample,
+    sine_distribution,
+    tail_distribution,
+    truncate,
+    two_point,
     uniform01,
 )
 from wshift.errors import ParameterError
@@ -27,7 +38,13 @@ from wshift.hypotest import (
     run_test,
     wasserstein_statistic,
 )
-from wshift.transport import lebesgue, plan_scaled_statistic, scaled_statistics
+from wshift.transport import (
+    displacement_interpolate,
+    lebesgue,
+    linear_interpolate,
+    plan_scaled_statistic,
+    scaled_statistics,
+)
 
 
 class TestWassersteinStatistic:
@@ -65,6 +82,29 @@ class TestWassersteinStatistic:
         data = EmpiricalDistribution([0.1, 0.5])
         with pytest.warns(UserWarning, match="compact"):
             wasserstein_statistic(data, gaussian(0.0, 1.0), lebesgue(trim=0.05))
+
+    @pytest.mark.parametrize("null, warns", [
+        pytest.param(uniform01(), False, id="uniform01"),
+        pytest.param(gaussian(0.0, 1.0), True, id="gaussian"),
+        pytest.param(gaussian(0.0, 1.0, -8.0, 8.0), False, id="truncated-gaussian"),
+        pytest.param(sine_distribution(0.5), False, id="sine-0.5"),
+        pytest.param(sine_distribution(1.0), True, id="sine-1"),
+        pytest.param(tail_distribution(0.3), False, id="tail"),
+        pytest.param(two_point(0.0, 1.0), True, id="twopoint"),
+        pytest.param(truncate(two_point(0.0, 1.0), -0.5, 0.5), True, id="truncated-twopoint"),
+        pytest.param(affine(uniform01(), 2.0, -1.0), False, id="affine"),
+        pytest.param(displacement_interpolate(uniform01(), sine_distribution(0.5), 0.3), True,
+                     id="displacement"),
+        pytest.param(linear_interpolate(uniform01(), sine_distribution(0.5), 0.3), True,
+                     id="mixture"),
+        pytest.param(EmpiricalDistribution([0.2, 0.4, 0.7]), False, id="empirical"),
+    ])
+    def test_compact_support_warning_by_null_kind(self, null, warns):
+        data = EmpiricalDistribution([0.1, 0.5, 0.9])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wasserstein_statistic(data, null, lebesgue(trim=0.05))
+        assert any("compact" in str(w.message) for w in caught) == warns
 
 
 class TestTypeICalibration:
@@ -166,6 +206,19 @@ class TestRunTest:
         with pytest.raises(AssertionError):
             TestOutcome(statistic=1.0, critical_value=2.0, reject=True,
                         p_value=0.5, n=10, provenance={})
+
+    def test_outcome_invariant_enforced_under_optimize(self):
+        # python -O strips assert statements; the invariant must still raise
+        src = str(Path(wshift.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("from wshift.hypotest import TestOutcome\n"
+                "TestOutcome(statistic=1.0, critical_value=2.0, reject=True,"
+                " p_value=0.5, n=10, provenance={})\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "AssertionError" in proc.stderr
 
     def test_alpha_validated(self):
         with pytest.raises(ParameterError):
