@@ -77,12 +77,14 @@ from .hypotest import (
 )
 from .limitlaw import BridgeGrid, LimitLawSampler, critical_value
 from .transport import (
+    Histogram,
     WeightMeasure,
     _fd_edges,
     displacement_interpolate,
     lebesgue,
     quadratic_weight,
-    w2_weighted,
+    relative_distance_curve,
+    tv_distance,
 )
 
 __all__ = ["main", "ingest_csv", "CsvSchema", "ObservationTable", "RunManifest"]
@@ -567,57 +569,43 @@ def _cmd_interpolate(opts_values: dict, argv: list[str]) -> int:
     u = (np.arange(m) + 0.5) / m
     ts = np.arange(steps) / (steps - 1)
 
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
-                       inputs=[src_path, tgt_path])
+    # the displacement path is a geodesic; the mixture path mixes the
+    # histograms of the endpoints on one pooled binning
+    series = [displacement_interpolate(p0, p1, float(t)) for t in ts]
+    try:
+        w2_curve = relative_distance_curve(series, "w2")
+    except ParameterError:  # the only failure here: the endpoints coincide
+        raise ParameterError("source and target coincide; no path to interpolate") from None
+    edges = _fd_edges(np.concatenate([p0.values, p1.values]))
+    h0, h1 = (Histogram(edges, np.histogram(d.values, bins=edges)[0]) for d in (p0, p1))
+    mixtures = [Histogram(edges, (1.0 - t) * h0.probabilities + t * h1.probabilities)
+                for t in ts]
+    tv_total = tv_distance(h0, h1)
+    tv_curve = [tv_distance(h0, h) / tv_total if tv_total > 0 else float(t)
+                for t, h in zip(ts, mixtures)]
+    tv_curve[0], tv_curve[-1] = 0.0, 1.0
 
     def quantile_csv(q: np.ndarray) -> str:
         lines = ["u,quantile"]
         lines += [f"{ui:.10g},{qi:.10g}" for ui, qi in zip(u, q)]
         return "\n".join(lines) + "\n"
 
-    w2_denominator = w2_weighted(p0, p1)
-    if w2_denominator == 0.0:
-        raise ParameterError("source and target coincide; no path to interpolate")
-    edges = _fd_edges(np.concatenate([p0.values, p1.values]))
-    h0 = np.histogram(p0.values, bins=edges)[0] / p0.n
-    h1 = np.histogram(p1.values, bins=edges)[0] / p1.n
-    tv_denominator = 0.5 * np.abs(h0 - h1).sum()
-
-    eps_curve, tv_curve = [], []
-    for i, t in enumerate(ts):
-        disp = displacement_interpolate(p0, p1, float(t))
+    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
+                       inputs=[src_path, tgt_path])
+    for i, (disp, mixture) in enumerate(zip(series, mixtures)):
         if kind in ("displacement", "both"):
             sink.write_text(f"displacement_{i:02d}.csv",
                             quantile_csv(np.asarray(disp.quantile(u))))
         if kind in ("linear", "both"):
-            lin_q = _histogram_quantile(edges, (1.0 - t) * h0 + t * h1, u)
-            sink.write_text(f"linear_{i:02d}.csv", quantile_csv(lin_q))
-        eps_curve.append(w2_weighted(p0, disp) / w2_denominator)
-        if tv_denominator > 0:
-            tv_curve.append(0.5 * np.abs(h0 - ((1 - t) * h0 + t * h1)).sum() / tv_denominator)
-        else:
-            tv_curve.append(float(t))
-    eps_curve[0], eps_curve[-1] = 0.0, 1.0
-    tv_curve[0], tv_curve[-1] = 0.0, 1.0
+            sink.write_text(f"linear_{i:02d}.csv", quantile_csv(mixture.quantile(u)))
     curve_lines = ["t,w2_relative,tv_relative"]
     curve_lines += [f"{t:.10g},{e:.10g},{g:.10g}"
-                    for t, e, g in zip(ts, eps_curve, tv_curve)]
+                    for t, e, g in zip(ts, w2_curve, tv_curve)]
     sink.write_text("curve.csv", "\n".join(curve_lines) + "\n")
     sink.finish()
     print(f"wrote {steps} interpolation step(s) and curve.csv "
           f"({'-' if sink.dir is None else sink.dir})")
     return 0
-
-
-def _histogram_quantile(edges: np.ndarray, masses: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Quantile of a histogram law (uniform within bins)."""
-    total = masses.sum()
-    cum = np.concatenate([[0.0], np.cumsum(masses)]) / total
-    idx = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, masses.size - 1)
-    lo_mass = cum[idx]
-    width = cum[idx + 1] - lo_mass
-    frac = np.where(width > 0, (u - lo_mass) / np.where(width > 0, width, 1.0), 0.0)
-    return edges[idx] + frac * (edges[idx + 1] - edges[idx])
 
 
 def _cmd_power_resample(opts_values: dict, argv: list[str]) -> int:

@@ -58,8 +58,9 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Smallest offset keeping inverse-transform uniforms strictly inside (0, 1).
+# Offset and cap keeping inverse-transform uniforms strictly inside (0, 1).
 _U_EPS = 2.0 ** -54
+_U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -505,8 +506,10 @@ def affine(dist: Distribution, scale: float, shift: float = 0.0) -> Distribution
 # ---------------------------------------------------------------------------
 
 def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    # rng.random() covers [0, 1); the offset keeps draws strictly inside (0, 1)
-    return rng.random(n) + _U_EPS
+    # rng.random() covers [0, 1); the offset lifts 0 off the left end, and the
+    # cap catches the largest draw, 1 - 2^-53, which the offset rounds up to 1
+    u = rng.random(n) + _U_EPS
+    return np.minimum(u, _U_MAX, out=u)
 
 
 def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:

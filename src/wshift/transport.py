@@ -13,6 +13,14 @@ with either a closed form or fixed-order Gauss-Legendre panels:
   endpoint singularities of bounded quantiles (e.g. truncated Gaussians)
   are integrated accurately.
 
+The batched statistic ``n W2^2(sample, null)`` has one plan layout for
+every null: per-sample-slot moments of the null quantile (see
+:class:`StatisticPlan`). They come from the same Gauss-Legendre panels laid
+over the slot edges joined with the null's breakpoints, so an empirical
+null's piecewise-constant quantile is integrated exactly under a polynomial
+weight. Only the uniform null under a polynomial weight takes closed-form
+antiderivatives instead.
+
 The module also provides the monotone transport map, displacement and
 linear (mixture) interpolation between two laws, total-variation distance
 on binned data, and relative-distance curves along a series of samples.
@@ -335,6 +343,15 @@ class Histogram:
     def probabilities(self) -> np.ndarray:
         return self.masses / self.masses.sum()
 
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Quantile of the law spreading each bin's mass uniformly over the bin."""
+        cum = np.concatenate([[0.0], np.cumsum(self.masses)]) / self.masses.sum()
+        idx = np.clip(np.searchsorted(cum, u, side="left") - 1, 0, self.masses.size - 1)
+        lo_mass = cum[idx]
+        width = cum[idx + 1] - lo_mass
+        frac = np.where(width > 0, (u - lo_mass) / np.where(width > 0, width, 1.0), 0.0)
+        return self.edges[idx] + frac * (self.edges[idx + 1] - self.edges[idx])
+
 
 def _fd_edges(pooled: np.ndarray) -> np.ndarray:
     """Freedman-Diaconis binning of the pooled sample."""
@@ -513,12 +530,13 @@ def linear_interpolate(source: Distribution, target: Distribution,
     )
 
 
-def relative_distance_curve(series: Sequence[EmpiricalDistribution],
+def relative_distance_curve(series: Sequence[Distribution],
                             metric: str = "w2", bins="fd") -> list[float]:
     """Distances from the first element, normalized by the first-to-last distance.
 
-    ``metric`` is one of ``"w2"``, ``"w1"``, ``"tv"``; TV uses a binning
-    shared across the whole series (pooled Freedman-Diaconis by default).
+    ``metric`` is one of ``"w2"``, ``"w1"``, ``"tv"``; TV bins samples, so
+    it needs empirical laws, and uses a binning shared across the whole
+    series (pooled Freedman-Diaconis by default).
     The first element is 0 and the last is 1 by construction.
     """
     if len(series) < 2:
@@ -550,17 +568,19 @@ def relative_distance_curve(series: Sequence[EmpiricalDistribution],
 
 @dataclass(frozen=True)
 class StatisticPlan:
-    """Precomputed segment moments for the statistic against a fixed null.
+    """Precomputed per-slot moments for the statistic against a fixed null.
 
-    For a sorted sample ``x`` of size ``n``, the squared weighted distance
-    decomposes over constancy segments of the empirical quantile as
-    ``sum_s x[idx_s]^2 m0_s - 2 x[idx_s] m1_s + m2_s`` where ``m_k`` is the
-    omega-integral of ``u -> q_null(u)^k`` over segment ``s``. Reusable
-    across any number of samples of the same size.
+    A sorted sample ``x`` of size ``n`` has the empirical quantile ``x_j`` on
+    the slot ``(j/n, (j + 1)/n)``, ``j = 0, ..., n - 1``, so its squared
+    weighted distance to the null is
+    ``sum_j x_j^2 m0_j - 2 x_j m1_j + m2_total``. Here ``m0_j`` and ``m1_j``
+    are the omega-integrals of ``1`` and of the null quantile over slot
+    ``j``, and ``m2_total`` is the omega-integral of the squared null
+    quantile over the window. One layout serves every null; the plan is
+    reusable across any number of samples of the same size.
     """
 
     n: int
-    idx: Optional[np.ndarray]  # None means segments are exactly the n sample slots
     m0: np.ndarray
     m1: np.ndarray
     m2_total: float
@@ -575,17 +595,16 @@ def _plan_identity_poly(omega: WeightMeasure, n: int) -> StatisticPlan:
     m0 = np.diff(_polyval(a0, grid))
     m1 = np.diff(_polyval(a1, grid))
     m2 = np.diff(_polyval(a2, grid))
-    return StatisticPlan(n, None, m0, m1, float(m2.sum()))
+    return StatisticPlan(n, m0, m1, float(m2.sum()))
 
 
-def _plan_vs_analytic(null: AnalyticDistribution, omega: WeightMeasure,
-                      n: int) -> StatisticPlan:
+def _plan_by_quadrature(null: Distribution, omega: WeightMeasure,
+                        n: int) -> StatisticPlan:
     lo, hi = omega.window
     grid = np.clip(np.arange(n + 1) / n, lo, hi)
-    edges = np.unique(np.concatenate([
-        grid,
-        np.asarray([b for b in null.quantile_breakpoints if lo < b < hi]),
-    ]))
+    # the null's breakpoints (an empirical null's jumps included) split the
+    # slots, so every panel sees a smooth null quantile
+    edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
     lefts, widths = _panel_layout(edges, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
     half = 0.5 * widths
     nodes = (lefts[:, None] + half[:, None] * (_GL_X + 1.0)[None, :]).ravel()
@@ -597,37 +616,18 @@ def _plan_vs_analytic(null: AnalyticDistribution, omega: WeightMeasure,
     m0 = np.bincount(slot, weights=w, minlength=n)
     m1 = np.bincount(slot, weights=w * q, minlength=n)
     m2 = np.bincount(slot, weights=w * q * q, minlength=n)
-    return StatisticPlan(n, None, m0, m1, float(m2.sum()))
-
-
-def _plan_vs_empirical(null: EmpiricalDistribution, omega: WeightMeasure,
-                       n: int) -> StatisticPlan:
-    lo, hi = omega.window
-    sample_jumps = np.arange(1, n) / n
-    ref_jumps = null.quantile_breakpoints
-    edges = np.unique(np.concatenate([
-        np.array([lo, hi]),
-        sample_jumps[(lo < sample_jumps) & (sample_jumps < hi)],
-        ref_jumps[(lo < ref_jumps) & (ref_jumps < hi)],
-    ]))
-    masses = _segment_masses(edges, omega)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    idx = np.minimum(np.ceil(n * mids).astype(np.int64) - 1, n - 1)
-    b = null.quantile(mids)
-    return StatisticPlan(n, idx, masses, masses * b, float(np.dot(masses, b * b)))
+    return StatisticPlan(n, m0, m1, float(m2.sum()))
 
 
 def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
                           n: int) -> StatisticPlan:
-    """Build the reusable segment-moment plan for samples of size ``n``."""
+    """Build the reusable per-slot moment plan for samples of size ``n``."""
     if n < 1:
         raise ParameterError("sample size must be >= 1")
-    if isinstance(null, EmpiricalDistribution):
-        return _plan_vs_empirical(null, omega, n)
     _check_integrable(null, omega)
     if null.quantile_is_identity and omega.poly is not None:
         return _plan_identity_poly(omega, n)
-    return _plan_vs_analytic(null, omega, n)
+    return _plan_by_quadrature(null, omega, n)
 
 
 def scaled_statistics(sorted_samples: np.ndarray, plan: StatisticPlan) -> np.ndarray:
@@ -635,6 +635,5 @@ def scaled_statistics(sorted_samples: np.ndarray, plan: StatisticPlan) -> np.nda
     x = np.atleast_2d(np.asarray(sorted_samples, dtype=float))
     if x.shape[1] != plan.n:
         raise ParameterError(f"plan built for n={plan.n}, got rows of size {x.shape[1]}")
-    g = x if plan.idx is None else x[:, plan.idx]
-    quad = (g * g) @ plan.m0 - 2.0 * (g @ plan.m1) + plan.m2_total
+    quad = (x * x) @ plan.m0 - 2.0 * (x @ plan.m1) + plan.m2_total
     return plan.n * quad

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wshift.distributions import (
     EmpiricalDistribution,
+    _open_uniforms,
     affine,
     empirical_quantile,
     gaussian,
@@ -254,6 +255,17 @@ class TestSampling:
     def test_size_validation(self):
         with pytest.raises(ParameterError):
             sample(uniform01(), 0, seed=1)
+
+    def test_open_uniforms_strictly_inside_unit_interval(self):
+        # the extreme draws of rng.random(): 1 - 2^-53 plus the offset rounds
+        # half-to-even to exactly 1.0 unless it is capped
+        class ExtremeDraws:
+            def random(self, n):
+                return np.array([1.0 - 2.0 ** -53, 0.0])[:n]
+
+        u = _open_uniforms(ExtremeDraws(), 2)
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert np.all(np.isfinite(gaussian(0.0, 1.0).quantile_fn(u)))
 
 
 class TestTransformations:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wshift.distributions import (
     EmpiricalDistribution,
@@ -385,3 +387,44 @@ class TestStatisticPlan:
         plan = plan_scaled_statistic(uniform01(), lebesgue(), 10)
         with pytest.raises(ParameterError):
             scaled_statistics(np.zeros((2, 9)), plan)
+
+
+# Values on a half-integer lattice give ties; free floats give distinct values.
+_VALUES = st.lists(st.one_of(st.integers(-6, 6).map(lambda k: 0.5 * k),
+                             st.floats(-3.0, 3.0, allow_nan=False)),
+                   min_size=1, max_size=300)
+_WEIGHTS = st.builds(
+    lambda a, trim: lebesgue(trim) if a is None else quadratic_weight(a, trim),
+    st.sampled_from([None, 0.0, 2.0, 11.0]),
+    st.sampled_from([0.0, 0.05, 0.2, 0.25, 0.49]),
+)
+
+
+class TestSinglePlanLayout:
+    @given(null_values=_VALUES, sample_values=_VALUES, omega=_WEIGHTS)
+    @example(null_values=[0.0], sample_values=[1.0], omega=lebesgue())
+    @example(null_values=[0.0, 1.0, 1.0], sample_values=[0.5, 2.0, 2.0, 2.0, 3.0],
+             omega=quadratic_weight(2.0, 0.2))
+    @settings(max_examples=150, deadline=None)
+    def test_empirical_null_matches_direct_distance(self, null_values, sample_values,
+                                                    omega):
+        # ties, n = 1, n > N, n not dividing N and trimmed windows
+        null = EmpiricalDistribution(null_values)
+        x = np.sort(np.asarray(sample_values, dtype=float))
+        plan = plan_scaled_statistic(null, omega, x.size)
+        got = float(scaled_statistics(x[None, :], plan)[0]) / x.size
+        want = w2_weighted_squared(EmpiricalDistribution(x), null, omega)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("null", [
+        uniform01(),
+        sine_distribution(0.5),
+        truncate(gaussian(0.5, 0.4), -2.0, 3.0),
+        EmpiricalDistribution([0.0, 1.0, 1.0, 4.0, 9.0]),
+    ], ids=["uniform", "sine", "truncated-gaussian", "empirical"])
+    @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0, trim=0.1)],
+                             ids=["lebesgue", "quadratic-trimmed"])
+    @pytest.mark.parametrize("n", [1, 3, 300])
+    def test_one_moment_slot_per_observation(self, null, omega, n):
+        plan = plan_scaled_statistic(null, omega, n)
+        assert plan.m0.shape == plan.m1.shape == (n,)
