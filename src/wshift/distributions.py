@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -61,6 +61,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Offset and cap keeping inverse-transform uniforms strictly inside (0, 1).
 _U_EPS = 2.0 ** -54
 _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
+_BLOCK_SCALARS = 8_000_000  # sample values held in memory per block of sorted rows
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -527,3 +528,32 @@ def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:
     else:
         values = dist.quantile_fn(_open_uniforms(rng, int(n)))
     return EmpiricalDistribution(values)
+
+
+def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generator,
+                   replace: bool = True) -> Iterator[np.ndarray]:
+    """``reps`` sorted samples of size ``n`` from ``dist``, in memory-bounded blocks.
+
+    Each block is a matrix whose rows are the samples. Laws are drawn by
+    inverse transform, the rows of a block from one stretch of the uniform
+    stream; a data sample is resampled by index instead, with replacement
+    or (one row at a time) without.
+    """
+    resample = isinstance(dist, EmpiricalDistribution)
+    if resample and not replace and n > dist.n:
+        raise ParameterError(
+            f"cannot subsample {n} from {dist.n} observations without replacement")
+    rows = max(1, _BLOCK_SCALARS // max(n, 1))
+    done = 0
+    while done < reps:
+        m = min(rows, reps - done)
+        if not resample:
+            block = dist.quantile_fn(_open_uniforms(rng, m * n).reshape(m, n))
+        elif replace:
+            block = dist.values[rng.integers(0, dist.n, size=(m, n))]
+        else:
+            block = np.stack([rng.choice(dist.values, size=n, replace=False)
+                              for _ in range(m)])
+        block.sort(axis=1)
+        yield block
+        done += m

@@ -11,11 +11,13 @@ Four scripted experiments, each returning a :class:`ResultTable`:
 * :func:`run_weight_comparison` - power of the quadratic-weight statistics
   (more mass on the tails) with per-weight Monte Carlo critical values.
 
-Alternative samples are generated by exact pushforward: draw X from the
-null and emit ``(1 - eps) X + eps T(X)`` with T the monotone transport map
-to the signal, which shares one uniform stream between both terms. Given
-the same (seed, family, p, gamma, n, trials), :func:`run_ks_comparison`
-and :func:`run_weight_comparison` therefore see identical samples, so the
+Null samples are draws of the null; alternative samples are draws of
+``displacement_interpolate(null, signal, eps)``, the law a fraction eps of
+the way along the transport path, whose quantile ``(1 - eps) F^{-1} +
+eps G^{-1}`` maps one uniform stream through both laws at once. Both come
+from :func:`~wshift.distributions._sorted_blocks`. Given the same (seed,
+family, p, gamma, n, trials), :func:`run_ks_comparison` and
+:func:`run_weight_comparison` therefore see identical samples, so the
 unit-weight column of the latter reproduces the former exactly.
 
 Every cell records its trial count and the binomial standard error; grid
@@ -31,7 +33,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -40,21 +41,21 @@ from ._seeds import derive_rng, derive_seed
 from .distributions import (
     AnalyticDistribution,
     Distribution,
-    _open_uniforms,
+    _sorted_blocks,
     gaussian,
     sine_distribution,
     tail_distribution,
     uniform01,
 )
 from .errors import ParameterError
-from .hypotest import ks_statistics_sorted
-from .limitlaw import BridgeGrid, LimitLawSampler, critical_value, sample_psi_components
+from .hypotest import _reject_counts, _w2_statistic, ks_statistics_sorted
+from .limitlaw import BridgeGrid, LimitLawSampler, _null_quantile, sample_psi_components
 from .transport import (
     WeightMeasure,
+    displacement_interpolate,
     lebesgue,
     plan_scaled_statistic,
     quadratic_weight,
-    scaled_statistics,
 )
 
 __all__ = [
@@ -70,7 +71,6 @@ __all__ = [
     "run_weight_comparison",
 ]
 
-_BLOCK_SCALARS = 8_000_000
 _TABLE_SCHEMA = "wshift-result-table/1"
 
 
@@ -147,56 +147,11 @@ def _prob_cell(axes: tuple[float, ...], metric: str, value: float, trials: int) 
                 _binomial_se(value, trials), int(trials))
 
 
-# ---------------------------------------------------------------------------
-# Sample generation (exact pushforward along the transport path)
-# ---------------------------------------------------------------------------
-
-def _sorted_shift_blocks(null: AnalyticDistribution, signal: Optional[Distribution],
-                         eps: float, n: int, trials: int,
-                         rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Sorted samples of ``(1 - eps) X + eps T(X)`` in memory-bounded blocks."""
-    null_q = null.quantile_fn
-    signal_q = signal.quantile_fn if signal is not None else None
-    rows = max(1, _BLOCK_SCALARS // max(n, 1))
-    done = 0
-    while done < trials:
-        m = min(rows, trials - done)
-        u = _open_uniforms(rng, m * n).reshape(m, n)
-        if eps == 0.0 or signal_q is None:
-            v = null_q(u)
-        else:
-            v = (1.0 - eps) * null_q(u) + eps * signal_q(u)
-        v.sort(axis=1)
-        yield v
-        done += m
-
-
-Statistic = Callable[[np.ndarray], np.ndarray]
-
-
-def _w2_statistic(plan) -> Statistic:
-    return lambda block: scaled_statistics(block, plan)
-
-
-def _reject_counts(blocks: Iterator[np.ndarray],
-                   tests: list[tuple[Statistic, float]]) -> list[int]:
-    """Rejections of each ``(statistic, critical value)`` pair over all blocks.
-
-    Each block of sorted samples is generated once and scored by every
-    statistic; a row is rejected when its statistic exceeds the critical value.
-    """
-    counts = [0] * len(tests)
-    for block in blocks:
-        for i, (statistic, critical) in enumerate(tests):
-            counts[i] += int(np.count_nonzero(statistic(block) > critical))
-    return counts
-
-
 def _clamped_eps(gamma: float, n: int) -> float:
     eps = gamma / math.sqrt(n)
     if eps > 1.0:
         warnings.warn(f"shift fraction gamma/sqrt(n) = {eps:.3g} exceeds 1; clamped to 1",
-                      stacklevel=3)
+                      stacklevel=4)
         return 1.0
     return eps
 
@@ -207,6 +162,25 @@ def _family_distribution(family: str, p: float) -> AnalyticDistribution:
     if family == "tail":
         return tail_distribution(p)
     raise ParameterError(f"unknown signal family {family!r}; use 'sine' or 'tail'")
+
+
+def _null_counts(tests, n: int, trials: int, seed: int) -> list[int]:
+    """Rejections over ``trials`` uniform samples (the null-calibration stream)."""
+    rng = derive_rng(seed, "null-trials", n)
+    return _reject_counts(_sorted_blocks(uniform01(), n, trials, rng), tests)
+
+
+def _shift_counts(tests, family: str, p: float, gamma: float, n: int, trials: int,
+                  seed: int) -> list[int]:
+    """Rejections over ``trials`` samples shifted ``gamma / sqrt(n)`` toward ``family(p)``.
+
+    The stream is labeled by (family, p, gamma, n) alone, so experiments run
+    with the same seed see identical samples.
+    """
+    signal = _family_distribution(family, p)
+    shifted = displacement_interpolate(uniform01(), signal, _clamped_eps(gamma, n))
+    rng = derive_rng(seed, "shift-trials", family, repr(float(p)), repr(float(gamma)), n)
+    return _reject_counts(_sorted_blocks(shifted, n, trials, rng), tests)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +224,10 @@ def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
         null_rng = derive_rng(cfg.seed, "phase-null", repr(float(beta)), cfg.n)
         alt_rng = derive_rng(cfg.seed, "phase-alt", repr(float(beta)), cfg.n)
         [rej_null] = _reject_counts(
-            _sorted_shift_blocks(cfg.null, None, 0.0, cfg.n, cfg.trials, null_rng), tests)
+            _sorted_blocks(cfg.null, cfg.n, cfg.trials, null_rng), tests)
+        shifted = displacement_interpolate(cfg.null, cfg.signal, eps)
         [rej_alt] = _reject_counts(
-            _sorted_shift_blocks(cfg.null, cfg.signal, eps, cfg.n, cfg.trials, alt_rng),
-            tests)
+            _sorted_blocks(shifted, cfg.n, cfg.trials, alt_rng), tests)
         type1 = rej_null / cfg.trials
         type2 = 1.0 - rej_alt / cfg.trials
         c1 = _prob_cell((beta,), "type1", type1, cfg.trials)
@@ -324,9 +298,7 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     tests = [(_w2_statistic(plan_scaled_statistic(null, omega, cfg.n)), cfg.critical)]
     cells: list[Cell] = []
 
-    cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
-    [rejected] = _reject_counts(
-        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng), tests)
+    [rejected] = _null_counts(tests, cfg.n, cfg.trials, cfg.seed)
     cells.append(_prob_cell((0.0, 0.0), "type1", rejected / cfg.trials, cfg.trials))
 
     grid = BridgeGrid(cfg.grid_k)
@@ -338,11 +310,7 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
         quad, cross = sample_psi_components(sampler, cfg.law_reps)
         delta_sq = float(sampler.signal_strength_sq)
         for gamma in cfg.gammas:
-            eps = _clamped_eps(gamma, cfg.n)
-            rng = derive_rng(cfg.seed, "shift-trials", "sine", repr(float(p)),
-                             repr(float(gamma)), cfg.n)
-            [rejected] = _reject_counts(
-                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng), tests)
+            [rejected] = _shift_counts(tests, "sine", p, gamma, cfg.n, cfg.trials, cfg.seed)
             threshold = cfg.critical - gamma * gamma * delta_sq
             theo = float(np.mean(quad + 2.0 * gamma * cross <= threshold))
             cells.append(_prob_cell((delta, gamma), "type2_empirical",
@@ -398,20 +366,14 @@ def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
              (lambda block: ks_statistics_sorted(block, null), cfg.ks_critical)]
     cells: list[Cell] = []
 
-    cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
-    rej_w, rej_ks = _reject_counts(
-        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng), tests)
+    rej_w, rej_ks = _null_counts(tests, cfg.n, cfg.trials, cfg.seed)
     cells.append(_prob_cell((0.0, 0.0), "type1_w2", rej_w / cfg.trials, cfg.trials))
     cells.append(_prob_cell((0.0, 0.0), "type1_ks", rej_ks / cfg.trials, cfg.trials))
 
     for p in cfg.p_grid:
-        signal = _family_distribution(cfg.family, p)
         for gamma in cfg.gammas:
-            eps = _clamped_eps(gamma, cfg.n)
-            rng = derive_rng(cfg.seed, "shift-trials", cfg.family, repr(float(p)),
-                             repr(float(gamma)), cfg.n)
-            rej_w, rej_ks = _reject_counts(
-                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng), tests)
+            rej_w, rej_ks = _shift_counts(tests, cfg.family, p, gamma, cfg.n, cfg.trials,
+                                          cfg.seed)
             cells.append(_prob_cell((p, gamma), "power_w2", rej_w / cfg.trials, cfg.trials))
             cells.append(_prob_cell((p, gamma), "power_ks", rej_ks / cfg.trials, cfg.trials))
     config = {
@@ -469,12 +431,10 @@ def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
     """Power per (a, p, gamma) with per-weight critical values and calibration."""
     null = uniform01()
     grid = BridgeGrid(cfg.grid_k)
-    weights: dict[float, WeightMeasure] = {}
     plans: dict[float, object] = {}
     criticals: dict[float, float] = {}
     for a in cfg.a_values:
         omega_a = quadratic_weight(a) if a != 0.0 else lebesgue()
-        weights[a] = omega_a
         plans[a] = plan_scaled_statistic(null, omega_a, cfg.n)
         if a == 0.0:
             criticals[a] = cfg.critical_lebesgue
@@ -482,23 +442,14 @@ def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
             sampler = LimitLawSampler.from_distributions(
                 null, omega=omega_a, grid=grid,
                 seed=derive_seed(cfg.seed, "critval-weight", repr(float(a))))
-            criticals[a] = critical_value(sampler, cfg.alpha, cfg.law_reps).value
+            criticals[a] = _null_quantile(sampler, cfg.alpha, cfg.law_reps)[1]
 
     # The sample streams do not depend on a, so each block is drawn once and
     # scored by every weight's plan.
     tests = [(_w2_statistic(plans[a]), criticals[a]) for a in cfg.a_values]
-    cal_rng = derive_rng(cfg.seed, "null-trials", cfg.n)
-    type1 = _reject_counts(
-        _sorted_shift_blocks(null, None, 0.0, cfg.n, cfg.trials, cal_rng), tests)
-    power: dict[tuple[float, float], list[int]] = {}
-    for p in cfg.p_grid:
-        signal = _family_distribution(cfg.family, p)
-        for gamma in cfg.gammas:
-            eps = _clamped_eps(gamma, cfg.n)
-            rng = derive_rng(cfg.seed, "shift-trials", cfg.family, repr(float(p)),
-                             repr(float(gamma)), cfg.n)
-            power[p, gamma] = _reject_counts(
-                _sorted_shift_blocks(null, signal, eps, cfg.n, cfg.trials, rng), tests)
+    type1 = _null_counts(tests, cfg.n, cfg.trials, cfg.seed)
+    power = {(p, gamma): _shift_counts(tests, cfg.family, p, gamma, cfg.n, cfg.trials, cfg.seed)
+             for p in cfg.p_grid for gamma in cfg.gammas}
 
     cells = [_prob_cell((a, 0.0, 0.0), "type1", type1[i] / cfg.trials, cfg.trials)
              for i, a in enumerate(cfg.a_values)]

@@ -15,7 +15,10 @@ reference draws work with the scaled, squared statistic ``n * W2^2``, while
 :func:`resampling_critical_value` / :func:`resampling_power` work with the
 plain distance ``W2`` (unsquared, not scaled by n), which is the natural
 scale for comparing a fixed reference sample against subsamples of varying
-size. A Kolmogorov-Smirnov statistic is included as a comparator.
+size. Both draw samples with :func:`wshift.distributions._sorted_blocks`;
+power is counted by :func:`_reject_counts`, the rejection counter the
+experiments use too. A Kolmogorov-Smirnov statistic is included as a
+comparator.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -32,10 +35,16 @@ from .distributions import (
     AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
-    _open_uniforms,
+    _sorted_blocks,
 )
 from .errors import ParameterError
-from .limitlaw import BridgeGrid, LimitLawSampler, _order_stat_quantile, sample_psi_null
+from .limitlaw import (
+    BridgeGrid,
+    LimitLawSampler,
+    _null_quantile,
+    _order_stat_quantile,
+    sample_psi_null,
+)
 from .transport import (
     WeightMeasure,
     lebesgue,
@@ -56,9 +65,6 @@ __all__ = [
     "resampling_critical_value",
     "resampling_power",
 ]
-
-_ROW_BUDGET = 8_000_000  # scalars per batched block of resamples
-
 
 def _warn_if_assumption_violated(null: Distribution, omega: WeightMeasure) -> None:
     if isinstance(null, AnalyticDistribution) and not null.compact_support_ok:
@@ -181,30 +187,32 @@ def _limit_sampler(config: TestConfig, grid_k: int, seed: int) -> LimitLawSample
         seed=derive_seed(seed, "limitlaw-reference"))
 
 
-def _resample_sorted_blocks(null: Distribution, n: int, reps: int,
-                            rng: np.random.Generator, replace: bool = True):
-    """Yield blocks of sorted samples of size n drawn from the null."""
-    rows = max(1, _ROW_BUDGET // max(n, 1))
-    done = 0
-    while done < reps:
-        m = min(rows, reps - done)
-        if isinstance(null, EmpiricalDistribution):
-            if replace:
-                idx = rng.integers(0, null.n, size=(m, n))
-                block = null.values[idx]
-            else:
-                if n > null.n:
-                    raise ParameterError(
-                        f"cannot subsample {n} from {null.n} observations without replacement")
-                block = np.stack([
-                    rng.choice(null.values, size=n, replace=False) for _ in range(m)
-                ])
-        else:
-            u = _open_uniforms(rng, m * n).reshape(m, n)
-            block = null.quantile_fn(u)
-        block.sort(axis=1)
-        yield block
-        done += m
+Statistic = Callable[[np.ndarray], np.ndarray]
+
+
+def _w2_statistic(plan) -> Statistic:
+    return lambda block: scaled_statistics(block, plan)
+
+
+def _reject_counts(blocks: Iterable[np.ndarray],
+                   tests: list[tuple[Statistic, float]]) -> list[int]:
+    """Rejections of each ``(statistic, critical value)`` pair over all blocks.
+
+    Each block of sorted samples is generated once and scored by every
+    statistic; a row is rejected when its statistic exceeds the critical value.
+    """
+    counts = [0] * len(tests)
+    for block in blocks:
+        for i, (statistic, critical) in enumerate(tests):
+            counts[i] += int(np.count_nonzero(statistic(block) > critical))
+    return counts
+
+
+def _reference_statistics(statistic: Statistic, null: Distribution, n: int, reps: int,
+                          rng: np.random.Generator, replace: bool) -> np.ndarray:
+    """The statistic of ``reps`` sorted size-n samples redrawn from the null."""
+    return np.concatenate([statistic(block)
+                           for block in _sorted_blocks(null, n, reps, rng, replace)])
 
 
 def run_test(samples: EmpiricalDistribution, config: TestConfig,
@@ -232,21 +240,16 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
         provenance.update(source="tabulated", reps=source.reference_reps,
                           grid_k=source.grid_k)
     elif isinstance(source, LimitLawCritical):
-        if (1.0 - config.alpha) * source.reps < 10.0:
-            raise ParameterError("insufficient reps for the limit-law critical value")
         sampler = _limit_sampler(config, source.grid_k, seed)
-        reference = sample_psi_null(sampler, source.reps)
-        critical = _order_stat_quantile(reference, config.alpha)
+        reference, critical = _null_quantile(sampler, config.alpha, source.reps)
         provenance.update(source="limitlaw", reps=source.reps, grid_k=source.grid_k)
     elif isinstance(source, ResamplingCritical):
         if source.reps < 100:
             raise ParameterError("insufficient reference draws: resampling needs reps >= 100")
         rng = derive_rng(seed, "resampling-reference")
         plan = plan_scaled_statistic(config.null_dist, config.omega, samples.n)
-        parts = [scaled_statistics(block, plan)
-                 for block in _resample_sorted_blocks(config.null_dist, samples.n,
-                                                      source.reps, rng, source.replace)]
-        reference = np.concatenate(parts)
+        reference = _reference_statistics(_w2_statistic(plan), config.null_dist, samples.n,
+                                          source.reps, rng, source.replace)
         critical = _order_stat_quantile(reference, config.alpha)
         provenance.update(source="resampling", reps=source.reps, replace=source.replace)
     else:
@@ -267,15 +270,25 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
 # Resampling-based critical values and power (plain-distance convention)
 # ---------------------------------------------------------------------------
 
-def _distances_to_reference(reference: EmpiricalDistribution, n: int, reps: int,
-                            rng: np.random.Generator, source: Distribution,
-                            replace: bool) -> np.ndarray:
+def _resampling_critical(reference: EmpiricalDistribution, n: int, alpha: float,
+                         reps: int, seed: int, replace: bool) -> tuple[Statistic, float]:
+    """The distance to the reference and its resampled (1 - alpha)-quantile."""
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    if n < 1:
+        raise ParameterError("subsample size must be >= 1")
+    k = int(math.ceil((1.0 - alpha) * reps))
+    if reps < 1 or k >= reps:
+        raise ParameterError(
+            f"reps={reps} too small to resolve the {1 - alpha:g}-quantile at alpha={alpha:g}")
     plan = plan_scaled_statistic(reference, lebesgue(), n)
-    parts = []
-    for block in _resample_sorted_blocks(source, n, reps, rng, replace):
-        scaled = scaled_statistics(block, plan)
-        parts.append(np.sqrt(np.maximum(scaled, 0.0) / n))
-    return np.concatenate(parts)
+
+    def distance(block: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(scaled_statistics(block, plan), 0.0) / n)
+
+    rng = derive_rng(seed, "resampling-critval")
+    null_distances = _reference_statistics(distance, reference, n, reps, rng, replace)
+    return distance, _order_stat_quantile(null_distances, alpha)
 
 
 def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: float,
@@ -286,17 +299,7 @@ def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: f
     default), so this is the finite-n null reference distribution of the
     plain distance between the reference and an n-point sample of it.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < 1:
-        raise ParameterError("subsample size must be >= 1")
-    k = int(math.ceil((1.0 - alpha) * reps))
-    if reps < 1 or k >= reps:
-        raise ParameterError(
-            f"reps={reps} too small to resolve the {1 - alpha:g}-quantile at alpha={alpha:g}")
-    rng = derive_rng(seed, "resampling-critval")
-    dist = _distances_to_reference(reference, n, reps, rng, reference, replace)
-    return _order_stat_quantile(dist, alpha)
+    return _resampling_critical(reference, n, alpha, reps, seed, replace)[1]
 
 
 def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistribution,
@@ -310,9 +313,9 @@ def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistrib
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    critical = resampling_critical_value(reference, n, alpha, reps,
-                                         seed=derive_seed(seed, "null-critval"),
-                                         replace=replace)
+    distance, critical = _resampling_critical(reference, n, alpha, reps,
+                                              derive_seed(seed, "null-critval"), replace)
     rng = derive_rng(seed, "alt-trials")
-    dist = _distances_to_reference(reference, n, trials, rng, shifted, replace)
-    return float(np.mean(dist > critical))
+    [rejected] = _reject_counts(_sorted_blocks(shifted, n, trials, rng, replace),
+                                [(distance, critical)])
+    return rejected / trials

@@ -218,12 +218,11 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def critical_value(sampler: LimitLawSampler, alpha: float, reps: int,
-                   bootstrap: int = 200) -> CriticalValue:
-    """Critical value of the level-alpha test from the simulated null law.
+def _null_quantile(sampler: LimitLawSampler, alpha: float,
+                   reps: int) -> tuple[np.ndarray, float]:
+    """``reps`` draws of the null law and their (1 - alpha)-quantile.
 
-    The quantile is the order statistic at index ceil((1 - alpha) * reps);
-    its standard error is estimated by a resampling bootstrap.
+    The quantile is the order statistic at index ceil((1 - alpha) * reps).
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -232,7 +231,17 @@ def critical_value(sampler: LimitLawSampler, alpha: float, reps: int,
             f"reps={reps} too small to estimate the {1 - alpha:g}-quantile; "
             "need (1 - alpha) * reps >= 10")
     psi = sample_psi_null(sampler, reps)
-    value = _order_stat_quantile(psi, alpha)
+    return psi, _order_stat_quantile(psi, alpha)
+
+
+def critical_value(sampler: LimitLawSampler, alpha: float, reps: int,
+                   bootstrap: int = 200) -> CriticalValue:
+    """Critical value of the level-alpha test from the simulated null law.
+
+    The quantile is the order statistic at index ceil((1 - alpha) * reps);
+    its standard error is estimated by a resampling bootstrap.
+    """
+    psi, value = _null_quantile(sampler, alpha, reps)
     rng = derive_rng(sampler.seed, "critval-bootstrap")
     boots = np.empty(bootstrap)
     for i in range(bootstrap):
@@ -266,7 +275,7 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float, alpha: float,
     if gamma <= 0.0:
         raise ParameterError(f"boundary strength gamma must be positive, got {gamma}")
     if critical is None:
-        critical = critical_value(sampler, alpha, reps).value
+        critical = _null_quantile(sampler, alpha, reps)[1]
     threshold = float(critical) - gamma * gamma * _signal_strength_sq(sampler)
     boundary_sampler = sampler.with_seed(derive_seed(sampler.seed, "type2-boundary"))
     quad, cross = sample_psi_components(boundary_sampler, reps)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wshift.distributions
 from wshift.distributions import (
     EmpiricalDistribution,
     _open_uniforms,
+    _sorted_blocks,
     affine,
     empirical_quantile,
     gaussian,
@@ -266,6 +268,50 @@ class TestSampling:
         u = _open_uniforms(ExtremeDraws(), 2)
         assert np.all((u > 0.0) & (u < 1.0))
         assert np.all(np.isfinite(gaussian(0.0, 1.0).quantile_fn(u)))
+
+
+class TestSortedBlocks:
+    """Contract of the one generator of sorted-sample blocks."""
+
+    @pytest.fixture()
+    def small_budget(self, monkeypatch):
+        # 7 rows of n = 7 per block, so 23 rows span four blocks
+        monkeypatch.setattr(wshift.distributions, "_BLOCK_SCALARS", 50)
+
+    def test_rows_add_up_across_block_boundaries(self, small_budget):
+        blocks = list(_sorted_blocks(uniform01(), 7, 23, np.random.default_rng(1)))
+        assert [b.shape for b in blocks] == [(7, 7), (7, 7), (7, 7), (2, 7)]
+
+    def test_every_row_sorted(self, small_budget):
+        base = EmpiricalDistribution(np.arange(40.0))
+        for dist, replace in ((gaussian(0.0, 1.0), True), (base, True), (base, False)):
+            for block in _sorted_blocks(dist, 7, 23, np.random.default_rng(2), replace):
+                assert np.all(np.diff(block, axis=1) >= 0)
+
+    def test_analytic_rows_equal_one_unblocked_draw(self, small_budget):
+        dist = tail_distribution(0.3)
+        got = np.concatenate(list(_sorted_blocks(dist, 7, 23, np.random.default_rng(3))))
+        want = np.sort(dist.quantile_fn(
+            _open_uniforms(np.random.default_rng(3), 23 * 7).reshape(23, 7)), axis=1)
+        assert np.array_equal(got, want)
+
+    def test_resampling_with_replacement_yields_sample_values(self, small_budget):
+        base = EmpiricalDistribution([0.5, 1.5, 4.0])
+        rows = np.concatenate(list(_sorted_blocks(base, 7, 23, np.random.default_rng(4))))
+        assert rows.shape == (23, 7)
+        assert set(np.unique(rows)) <= {0.5, 1.5, 4.0}
+
+    def test_resampling_without_replacement_yields_distinct_indices(self, small_budget):
+        base = EmpiricalDistribution(np.arange(10.0))  # value k sits at index k
+        rows = np.concatenate(list(_sorted_blocks(base, 7, 23, np.random.default_rng(5),
+                                                  replace=False)))
+        assert rows.shape == (23, 7)
+        assert np.all(np.diff(rows, axis=1) > 0)
+
+    def test_without_replacement_needs_enough_observations(self):
+        base = EmpiricalDistribution(np.arange(5.0))
+        with pytest.raises(ParameterError, match="without replacement"):
+            next(_sorted_blocks(base, 6, 3, np.random.default_rng(6), replace=False))
 
 
 class TestTransformations:

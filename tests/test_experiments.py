@@ -3,8 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from wshift._seeds import derive_rng
+from wshift.distributions import _sorted_blocks, sine_distribution, uniform01
 from wshift.errors import ParameterError
 from wshift.experiments import (
     Cell,
@@ -16,6 +19,13 @@ from wshift.experiments import (
     run_phase_transition,
     run_power_map,
     run_weight_comparison,
+)
+from wshift.hypotest import ks_statistics_sorted
+from wshift.transport import (
+    displacement_interpolate,
+    lebesgue,
+    plan_scaled_statistic,
+    scaled_statistics,
 )
 
 
@@ -185,6 +195,26 @@ class TestKsComparison:
     def test_family_validated(self):
         with pytest.raises(ParameterError, match="family"):
             ComparisonConfig(family="cosine")
+
+    def test_alternatives_are_displacement_draws(self):
+        # score one cell by hand: draws of the law eps = gamma / sqrt(n) of the
+        # way from the null to the signal, on the cell's own labeled stream
+        cfg = ComparisonConfig(family="sine", p_grid=(0.6,), gammas=(10.0,), n=2000,
+                               trials=40, seed=7)
+        table = run_ks_comparison(cfg)
+        null = uniform01()
+        shifted = displacement_interpolate(null, sine_distribution(0.6),
+                                           10.0 / math.sqrt(cfg.n))
+        rng = derive_rng(cfg.seed, "shift-trials", "sine", repr(0.6), repr(10.0), cfg.n)
+        rows = np.concatenate(list(_sorted_blocks(shifted, cfg.n, cfg.trials, rng)))
+        w2 = scaled_statistics(rows, plan_scaled_statistic(null, lebesgue(), cfg.n))
+        ks = ks_statistics_sorted(rows, null)
+        for metric, stat, critical in (("power_w2", w2, cfg.critical),
+                                       ("power_ks", ks, cfg.ks_critical)):
+            cell = table.cell(metric, 0.6, 10.0)
+            rejected = int(np.count_nonzero(stat > critical))
+            assert 0 < rejected < cfg.trials
+            assert rejected == round(cell.value * cell.trials)
 
 
 class TestWeightComparison:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wshift
-
+from wshift import hypotest
 from wshift._seeds import derive_rng
 from wshift.distributions import (
     EmpiricalDistribution,
@@ -196,6 +196,13 @@ class TestRunTest:
         with pytest.raises(ParameterError, match="reference draws"):
             run_test(data, cfg, seed=1)
 
+    def test_limitlaw_reps_rule_shared_with_critical_value(self):
+        data = sample(uniform01(), 50, seed=1)
+        cfg = TestConfig(null_dist=uniform01(),
+                         critical_source=LimitLawCritical(reps=10, grid_k=64))
+        with pytest.raises(ParameterError, match=r"need \(1 - alpha\) \* reps >= 10"):
+            run_test(data, cfg, seed=1)
+
     def test_limitlaw_needs_analytic_null(self):
         ref = sample(uniform01(), 100, seed=2)
         cfg = TestConfig(null_dist=ref, critical_source=LimitLawCritical(reps=1000))
@@ -284,6 +291,18 @@ class TestResamplingPower:
         shifted = EmpiricalDistribution(ref.values + 0.5)
         power = resampling_power(ref, shifted, 10, 0.05, trials=200, reps=400, seed=25)
         assert power == 1.0
+
+    def test_one_plan_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_plan(*args):
+            calls.append(args)
+            return plan_scaled_statistic(*args)
+
+        monkeypatch.setattr(hypotest, "plan_scaled_statistic", counting_plan)
+        ref = sample(uniform01(), 500, seed=28)
+        resampling_power(ref, ref, 20, 0.05, trials=30, reps=100, seed=29)
+        assert len(calls) == 1
 
     def test_nondecreasing_in_n(self):
         ref = sample(uniform01(), 4000, seed=26)

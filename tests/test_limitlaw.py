@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import wshift.limitlaw
 from wshift.distributions import gaussian, sine_distribution, uniform01
 from wshift.errors import ParameterError, SingularDensityError
+from wshift.experiments import WeightComparisonConfig, run_weight_comparison
 from wshift.limitlaw import (
     BridgeGrid,
     LimitLawSampler,
     _bridge_batch,
+    _null_quantile,
     case_ii_variance,
     critical_value,
     sample_psi_boundary,
@@ -135,6 +138,32 @@ class TestCriticalValue:
         # need (1 - alpha) * reps >= 10
         with pytest.raises(ParameterError, match="reps"):
             critical_value(make_sampler(), 0.05, 5)
+
+    def test_null_quantile_is_the_critical_value(self):
+        s = make_sampler(k=256, seed=6)
+        psi, value = _null_quantile(s, 0.05, 3000)
+        assert psi.shape == (3000,)
+        assert value == critical_value(s, 0.05, 3000).value
+
+    def test_bootstrap_only_where_reported(self, monkeypatch):
+        # the standard error is reported by critical_value alone; callers that
+        # need only the quantile must not pay for the bootstrap
+        labels = []
+        derive = wshift.limitlaw.derive_rng
+
+        def recording_derive_rng(seed, *label):
+            labels.append(label)
+            return derive(seed, *label)
+
+        monkeypatch.setattr(wshift.limitlaw, "derive_rng", recording_derive_rng)
+        s = make_sampler(signal=sine_distribution(0.5), k=64, seed=7)
+        theoretical_type2(s, 3.0, 0.05, 400)
+        run_weight_comparison(WeightComparisonConfig(
+            a_values=(1.0,), p_grid=(0.3,), gammas=(4.0,), n=200, trials=20,
+            law_reps=400, grid_k=64, seed=8))
+        assert labels and ("critval-bootstrap",) not in labels
+        critical_value(s, 0.05, 400)
+        assert labels[-1] == ("critval-bootstrap",)
 
     def test_grid_refinement_stability(self):
         # discretization bias must be inside the Monte Carlo noise band
