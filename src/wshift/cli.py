@@ -49,7 +49,6 @@ import numpy as np
 from . import __version__
 from ._io import atomic_write_text, sha256_file
 from .distributions import (
-    AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
     gaussian,
@@ -249,18 +248,22 @@ def parse_weight(spec: str, trim: float = 0.0) -> WeightMeasure:
                          "expected lebesgue or quadratic:<a>")
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _number_list(text: str, convert, kind: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        values = tuple(convert(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ParameterError(f"bad numeric list {text!r}") from exc
+        raise ParameterError(f"bad {kind} list {text!r}") from exc
+    if not values:
+        raise ParameterError(f"empty {kind} list {text!r}")
+    return values
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return _number_list(text, float, "numeric")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise ParameterError(f"bad integer list {text!r}") from exc
+    return _number_list(text, int, "integer")
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +416,6 @@ def _common_options(opts: _Options, *, reps=None, trials=None, grid_k=None):
 def _cmd_critval(opts_values: dict, argv: list[str]) -> int:
     omega = parse_weight(opts_values["weight"], opts_values["trim"])
     null = parse_distribution(opts_values["null"])
-    if not isinstance(null, AnalyticDistribution):
-        raise ParameterError("critval needs an analytic null (use the test command "
-                             "with a resampling source for data-defined nulls)")
     sampler = LimitLawSampler.from_distributions(
         null, omega=omega, grid=BridgeGrid(opts_values["grid_k"]),
         seed=opts_values["seed"])
@@ -566,6 +566,8 @@ def _cmd_interpolate(opts_values: dict, argv: list[str]) -> int:
     if kind not in ("displacement", "linear", "both"):
         raise ParameterError("kind must be displacement, linear or both")
     m = opts_values["grid_points"]
+    if m < 1:
+        raise ParameterError(f"need at least 1 grid point, got {m}")
     u = (np.arange(m) + 0.5) / m
     ts = np.arange(steps) / (steps - 1)
 

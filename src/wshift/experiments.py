@@ -56,6 +56,7 @@ from .transport import (
     lebesgue,
     plan_scaled_statistic,
     quadratic_weight,
+    w2_weighted_squared,
 )
 
 __all__ = [
@@ -308,7 +309,7 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
         sampler = LimitLawSampler.from_distributions(
             null, signal, omega, grid, seed=derive_seed(cfg.seed, "law", repr(float(delta))))
         quad, cross = sample_psi_components(sampler, cfg.law_reps)
-        delta_sq = float(sampler.signal_strength_sq)
+        delta_sq = w2_weighted_squared(null, signal, omega)
         for gamma in cfg.gammas:
             [rejected] = _shift_counts(tests, "sine", p, gamma, cfg.n, cfg.trials, cfg.seed)
             threshold = cfg.critical - gamma * gamma * delta_sq
@@ -353,6 +354,8 @@ class ComparisonConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.p_grid:
+            raise ParameterError("p_grid needs at least one family parameter")
         _family_distribution(self.family, max(self.p_grid))
         if self.trials < 20:
             raise ParameterError("need at least 20 trials per grid point")
@@ -422,6 +425,8 @@ class WeightComparisonConfig:
     def __post_init__(self):
         if not all(0.0 <= a < 12.0 for a in self.a_values):
             raise ParameterError("weight parameters must lie in [0, 12)")
+        if not self.p_grid:
+            raise ParameterError("p_grid needs at least one family parameter")
         _family_distribution(self.family, max(self.p_grid))
         if self.trials < 20:
             raise ParameterError("need at least 20 trials per grid point")

@@ -177,13 +177,8 @@ class TestOutcome:
 
 
 def _limit_sampler(config: TestConfig, grid_k: int, seed: int) -> LimitLawSampler:
-    null = config.null_dist
-    if null.density_fn is None:
-        raise ParameterError(
-            "tabulated/limit-law critical sources need an analytic null with a density; "
-            "use a resampling source for data-defined nulls")
     return LimitLawSampler.from_distributions(
-        null, omega=config.omega, grid=BridgeGrid(grid_k),
+        config.null_dist, omega=config.omega, grid=BridgeGrid(grid_k),
         seed=derive_seed(seed, "limitlaw-reference"))
 
 

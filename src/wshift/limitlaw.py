@@ -12,6 +12,15 @@ law at the grid nodes in O(K) per path. Integrals over (0, 1) use the
 trapezoid rule on the grid; with the bridge pinned to zero at both ends,
 the rule reduces to a mean over interior nodes.
 
+A :class:`LimitLawSampler` is a plain description of the law: the null,
+the optional signal, the weight, the grid and the seed. The per-node
+coefficients read the null's density at its quantile and the quantile gap
+straight from the two laws, and the squared weighted distance between
+them is :func:`~wshift.transport.w2_weighted_squared`. A null without a
+density is rejected when the sampler is built, and a density at quantile
+below 1e-8 inside the weight window raises :class:`SingularDensityError`;
+:func:`case_ii_variance` goes through the same two checks.
+
 All sampling is replica-parallel in principle: draws depend only on
 (configuration, seed), and every function here is a pure function of its
 arguments.
@@ -22,12 +31,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._seeds import derive_rng, derive_seed
-from .distributions import AnalyticDistribution, Distribution
+from .distributions import Distribution
 from .errors import ParameterError, SingularDensityError
 from .transport import WeightMeasure, lebesgue, w2_weighted_squared
 
@@ -67,10 +76,11 @@ class BridgeGrid:
 
 def _bridge_batch(k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of bridge values at the interior nodes (exact joint law)."""
-    z = rng.standard_normal((rows, k))
-    walk = np.cumsum(z, axis=1)
+    # at most two (rows, k) arrays are alive at a time
+    walk = np.cumsum(rng.standard_normal((rows, k)), axis=1)
     frac = np.arange(1, k) / k
-    bridge = walk[:, :-1] - np.outer(walk[:, -1], frac)
+    bridge = np.outer(walk[:, -1], frac)
+    np.subtract(walk[:, :-1], bridge, out=bridge)
     bridge /= math.sqrt(k)
     return bridge
 
@@ -81,77 +91,68 @@ def simulate_bridge(grid: BridgeGrid, seed: int) -> np.ndarray:
     return _bridge_batch(grid.k, 1, rng)[0]
 
 
+def _require_density(null: Distribution) -> None:
+    if null.density_fn is None:
+        raise ParameterError(
+            "limit-law sampling needs an analytic null with a density; "
+            "use a resampling critical source for data-defined nulls")
+
+
 @dataclass(frozen=True)
 class LimitLawSampler:
-    """Seeded sampler of the null and boundary limit laws.
+    """Seeded sampler of the null and boundary limit laws of (null, signal, omega).
 
-    ``null_density_at_quantile`` maps u to f(F^{-1}(u)) for the null law;
-    ``signal_gap`` maps u to the quantile gap G^{-1}(u) - F^{-1}(u) and may
-    be omitted when only the null law is needed. ``signal_strength_sq``
-    caches the squared weighted distance between signal and null when the
-    sampler is built from distributions; otherwise it is recovered from the
-    gap by the trapezoid rule.
+    The null law is read through ``null.density_fn(null.quantile_fn(u))``,
+    the boundary cross term through the quantile gap
+    ``signal.quantile_fn(u) - null.quantile_fn(u)``. ``signal`` may be
+    ``None`` when only the null law is needed. A null without a density is
+    rejected when the sampler is built.
     """
 
-    null_density_at_quantile: Callable[[np.ndarray], np.ndarray]
-    signal_gap: Optional[Callable[[np.ndarray], np.ndarray]]
+    null: Distribution
+    signal: Optional[Distribution]
     omega: WeightMeasure
     grid: BridgeGrid
     seed: int
-    signal_strength_sq: Optional[float] = None
+
+    def __post_init__(self):
+        _require_density(self.null)
 
     @classmethod
-    def from_distributions(cls, null: AnalyticDistribution,
+    def from_distributions(cls, null: Distribution,
                            signal: Distribution | None = None,
                            omega: WeightMeasure | None = None,
                            grid: BridgeGrid | None = None,
                            seed: int = 0) -> "LimitLawSampler":
-        if null.density_fn is None:
-            raise ParameterError("limit-law sampling needs an analytic null with a density")
-        omega = omega if omega is not None else lebesgue()
-        grid = grid if grid is not None else BridgeGrid()
-        null_q, null_d = null.quantile_fn, null.density_fn
-
-        def pf(u):
-            return null_d(null_q(np.asarray(u, dtype=float)))
-
-        gap = None
-        strength = None
-        if signal is not None:
-            signal_q = signal.quantile_fn
-
-            def gap(u):
-                uu = np.asarray(u, dtype=float)
-                return signal_q(uu) - null_q(uu)
-
-            strength = w2_weighted_squared(null, signal, omega)
-        return cls(pf, gap, omega, grid, int(seed), strength)
-
-    def with_seed(self, seed: int) -> "LimitLawSampler":
-        return dataclasses.replace(self, seed=int(seed))
+        return cls(null, signal, omega if omega is not None else lebesgue(),
+                   grid if grid is not None else BridgeGrid(), int(seed))
 
 
-def _node_coefficients(sampler: LimitLawSampler, need_cross: bool):
-    """Per-node trapezoid coefficients of the quadratic (and cross) integrals."""
-    u = sampler.grid.nodes
-    w = sampler.omega.density(u)
-    pf = sampler.null_density_at_quantile(u)
-    active = w > 0.0
-    if np.any(pf[active] < _DENSITY_FLOOR):
+def _law_on_nodes(null: Distribution, signal: Distribution | None, omega: WeightMeasure,
+                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Weight, null density at quantile and quantile gap (or None) at the nodes u."""
+    w = omega.density(u)
+    pf = null.density_fn(null.quantile_fn(u))
+    if np.any(pf[w > 0.0] < _DENSITY_FLOOR):
         raise SingularDensityError(
             "null density at quantile falls below 1e-8 inside the integration window; "
             "trim the weight measure or truncate the null instead of relying on clipping"
         )
+    gap = None if signal is None else signal.quantile_fn(u) - null.quantile_fn(u)
+    return w, pf, gap
+
+
+def _node_coefficients(sampler: LimitLawSampler, need_cross: bool):
+    """Per-node trapezoid coefficients of the quadratic (and cross) integrals."""
+    if need_cross and sampler.signal is None:
+        raise ParameterError("sampler has no signal; build it with a signal distribution")
+    w, pf, gap = _law_on_nodes(sampler.null, sampler.signal if need_cross else None,
+                               sampler.omega, sampler.grid.nodes)
+    active = w > 0.0
     h = 1.0 / sampler.grid.k
     with np.errstate(divide="ignore", invalid="ignore"):
         c_quad = np.where(active, w / (pf * pf), 0.0) * h
-    c_cross = None
-    if need_cross:
-        if sampler.signal_gap is None:
-            raise ParameterError("sampler has no signal gap; build it with a signal distribution")
-        gap = sampler.signal_gap(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_cross = np.where(active, gap * w / pf, 0.0) * h
+        c_cross = np.where(active, gap * w / pf, 0.0) * h if need_cross else None
     return c_quad, c_cross
 
 
@@ -251,17 +252,6 @@ def critical_value(sampler: LimitLawSampler, alpha: float, reps: int,
                          float(boots.std(ddof=1)))
 
 
-def _signal_strength_sq(sampler: LimitLawSampler) -> float:
-    if sampler.signal_strength_sq is not None:
-        return float(sampler.signal_strength_sq)
-    if sampler.signal_gap is None:
-        raise ParameterError("sampler has no signal gap; build it with a signal distribution")
-    u = sampler.grid.nodes
-    gap = sampler.signal_gap(u)
-    w = sampler.omega.density(u)
-    return float(np.dot(gap * gap, w) / sampler.grid.k)
-
-
 def theoretical_type2(sampler: LimitLawSampler, gamma: float, alpha: float,
                       reps: int, critical: float | None = None) -> float:
     """Asymptotic Type II error at the detection boundary.
@@ -276,13 +266,15 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float, alpha: float,
         raise ParameterError(f"boundary strength gamma must be positive, got {gamma}")
     if critical is None:
         critical = _null_quantile(sampler, alpha, reps)[1]
-    threshold = float(critical) - gamma * gamma * _signal_strength_sq(sampler)
-    boundary_sampler = sampler.with_seed(derive_seed(sampler.seed, "type2-boundary"))
+    boundary_sampler = dataclasses.replace(
+        sampler, seed=derive_seed(sampler.seed, "type2-boundary"))
     quad, cross = sample_psi_components(boundary_sampler, reps)
+    delta_sq = w2_weighted_squared(sampler.null, sampler.signal, sampler.omega)
+    threshold = float(critical) - gamma * gamma * delta_sq
     return float(np.mean(quad + (2.0 * gamma) * cross <= threshold))
 
 
-def case_ii_variance(null: AnalyticDistribution, signal: Distribution,
+def case_ii_variance(null: Distribution, signal: Distribution,
                      omega: WeightMeasure | None = None,
                      resolution: int = 2048) -> float:
     """Variance of the Gaussian limit in the fully detectable regime.
@@ -292,18 +284,12 @@ def case_ii_variance(null: AnalyticDistribution, signal: Distribution,
     omega x omega, where gap is the signal-minus-null quantile difference.
     Equals four times the variance of the cross term of the boundary law.
     """
-    if null.density_fn is None:
-        raise ParameterError("case (ii) variance needs an analytic null with a density")
+    _require_density(null)
     omega = omega if omega is not None else lebesgue()
     lo, hi = omega.window
     cell = (hi - lo) / resolution
     u = lo + (np.arange(resolution) + 0.5) * cell
-    w = omega.density_fn(u)
-    pf = null.density_fn(null.quantile_fn(u))
-    if np.any(pf[w > 0.0] < _DENSITY_FLOOR):
-        raise SingularDensityError(
-            "null density at quantile is numerically singular on the window")
-    gap = signal.quantile_fn(u) - null.quantile_fn(u)
+    w, pf, gap = _law_on_nodes(null, signal, omega, u)
     t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
     kernel = np.minimum.outer(u, u) - np.outer(u, u)
     return float(4.0 * t @ kernel @ t)

@@ -187,9 +187,8 @@ def _refine_panels(lefts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, n
     return lefts, widths
 
 
-def _panel_layout(edges: np.ndarray, max_panel: float,
-                  refine_ends: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(lefts, widths) of quadrature panels tiling the given segments."""
+def _panel_layout(edges: np.ndarray, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lefts, widths) of quadrature panels tiling the given segments, refined at both ends."""
     edges = np.asarray(edges, dtype=float)
     lengths = np.diff(edges)
     keep = lengths > 0.0
@@ -200,15 +199,13 @@ def _panel_layout(edges: np.ndarray, max_panel: float,
     widths = np.repeat(lengths / counts, counts)
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     lefts = np.repeat(starts, counts) + offsets * widths
-    if refine_ends:
-        lefts, widths = _refine_panels(lefts, widths)
-    return lefts, widths
+    return _refine_panels(lefts, widths)
 
 
-def _panel_nodes(edges: np.ndarray, max_panel: float = _DEFAULT_MAX_PANEL,
-                 refine_ends: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(edges: np.ndarray,
+                 max_panel: float = _DEFAULT_MAX_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Flattened Gauss-Legendre nodes and weights for the panel layout."""
-    lefts, widths = _panel_layout(edges, max_panel, refine_ends)
+    lefts, widths = _panel_layout(edges, max_panel)
     half = 0.5 * widths
     nodes = lefts[:, None] + half[:, None] * (_GL_X + 1.0)[None, :]
     wts = half[:, None] * _GL_W[None, :]

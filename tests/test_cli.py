@@ -187,6 +187,32 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestEmptyGridInputs:
+    """An empty grid is an error, not a run that writes only header rows."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--betas", ","],
+        ["powermap", "--deltas", ","],
+        ["compare-ks", "--p-grid", ","],
+        ["compare-ks", "--gammas", ","],
+        ["power-resample", "--data", "{panel}", "--n-grid", ","],
+        ["interpolate", "--source", "{a}", "--target", "{b}", "--grid-points", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_rejected_before_any_output(self, tmp_path, capsys, argv):
+        rng = np.random.default_rng(8)
+        write_sample_csv(tmp_path / "a.csv", rng.normal(0, 1, 50))
+        write_sample_csv(tmp_path / "b.csv", rng.normal(1, 1, 50))
+        panel = tmp_path / "panel.csv"
+        panel.write_text("period,value\n" + "".join(
+            f"{label},{v}\n" for label in ("base", "later") for v in rng.normal(0, 1, 50)))
+        out = tmp_path / "out"
+        argv = [a.format(a=tmp_path / "a.csv", b=tmp_path / "b.csv", panel=panel)
+                for a in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def _run_twice(self, tmp_path, argv_builder):
         outs = []

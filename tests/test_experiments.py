@@ -243,6 +243,11 @@ class TestWeightComparison:
         with pytest.raises(ParameterError):
             WeightComparisonConfig(a_values=(13.0,))
 
+    @pytest.mark.parametrize("config", [WeightComparisonConfig, ComparisonConfig])
+    def test_empty_p_grid_rejected(self, config):
+        with pytest.raises(ParameterError, match="p_grid"):
+            config(p_grid=())
+
 
 class TestCellValidation:
     def test_probability_cells_in_range(self):

@@ -1,14 +1,24 @@
 """Tests for the Brownian-bridge simulation and limit-law Monte Carlo."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import wshift.limitlaw
-from wshift.distributions import gaussian, sine_distribution, uniform01
+from wshift.cli import main
+from wshift.distributions import (
+    EmpiricalDistribution,
+    affine,
+    gaussian,
+    sine_distribution,
+    two_point,
+    uniform01,
+)
 from wshift.errors import ParameterError, SingularDensityError
 from wshift.experiments import WeightComparisonConfig, run_weight_comparison
+from wshift.hypotest import LimitLawCritical, TabulatedCritical, TestConfig, run_test
 from wshift.limitlaw import (
     BridgeGrid,
     LimitLawSampler,
@@ -90,21 +100,25 @@ class TestPsiNull:
         assert np.all(psi >= 0.0)
 
     def test_scale_equivariance(self):
-        # doubling the density-at-quantile divides every draw by 4, exactly
+        # halving the null doubles its density-at-quantile (exactly 2) and
+        # divides every draw by 4, exactly
         grid = BridgeGrid(512)
-        base = LimitLawSampler(lambda u: np.ones_like(np.asarray(u, float)),
-                               None, lebesgue(), grid, 17)
-        scaled = LimitLawSampler(lambda u: 2.0 * np.ones_like(np.asarray(u, float)),
-                                 None, lebesgue(), grid, 17)
-        a = sample_psi_null(base, 500)
-        b = sample_psi_null(scaled, 500)
+        a = sample_psi_null(make_sampler(k=512, seed=17), 500)
+        b = sample_psi_null(
+            LimitLawSampler.from_distributions(affine(uniform01(), 0.5), grid=grid, seed=17),
+            500)
         assert np.array_equal(b, a / 4.0)
 
-    def test_singular_density_fails_loudly(self):
-        sampler = LimitLawSampler(lambda u: np.full(np.asarray(u).shape, 1e-12),
-                                  None, lebesgue(), BridgeGrid(128), 0)
+    @pytest.mark.parametrize("compute", [
+        lambda: sample_psi_null(LimitLawSampler.from_distributions(
+            affine(uniform01(), 1e12), grid=BridgeGrid(128)), 10),
+        lambda: case_ii_variance(affine(uniform01(), 1e12),
+                                 affine(sine_distribution(0.5), 1e12)),
+    ], ids=["sample_psi_null", "case_ii_variance"])
+    def test_singular_density_fails_loudly(self, compute):
+        # density 1e-12 at every quantile: below the floor, never clipped
         with pytest.raises(SingularDensityError):
-            sample_psi_null(sampler, 10)
+            compute()
 
     def test_deterministic(self):
         s = make_sampler(seed=9, k=256)
@@ -125,11 +139,9 @@ class TestCriticalValue:
         assert c_small.value >= c_large.value
 
     def test_scale_equivariance(self):
-        grid = BridgeGrid(512)
-        base = LimitLawSampler(lambda u: np.ones_like(np.asarray(u, float)),
-                               None, lebesgue(), grid, 3)
-        scaled = LimitLawSampler(lambda u: 2.0 * np.ones_like(np.asarray(u, float)),
-                                 None, lebesgue(), grid, 3)
+        base = make_sampler(k=512, seed=3)
+        scaled = LimitLawSampler.from_distributions(affine(uniform01(), 0.5),
+                                                    grid=BridgeGrid(512), seed=3)
         a = critical_value(base, 0.05, 5000)
         b = critical_value(scaled, 0.05, 5000)
         assert b.value == a.value / 4.0
@@ -249,3 +261,54 @@ class TestCaseIIVariance:
         v = case_ii_variance(gaussian(0.0, 1.0, -4.0, 4.0), gaussian(0.5, 1.0, -3.5, 4.5),
                              lebesgue(trim=0.01), resolution=512)
         assert v > 0.0 and np.isfinite(v)
+
+
+def _raised_message(compute):
+    def message(tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # two_point warns that the law may not apply
+            with pytest.raises(ParameterError) as info:
+                compute()
+        return str(info.value)
+    return message
+
+
+def _critval_message(null_spec):
+    def message(tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("value\n0.1\n0.2\n0.9\n")
+        argv = ["critval", "--null", null_spec.format(path=path), "--reps", "1000",
+                "--grid-k", "128"]
+        assert main(argv) == 1
+        return capsys.readouterr().err.strip().split(": error: ", 1)[1]
+    return message
+
+
+_DATA_NULL = EmpiricalDistribution(np.linspace(0.05, 0.95, 19))
+
+
+def _run_test(null, source):
+    data = EmpiricalDistribution(np.linspace(0.1, 0.9, 9))
+    return lambda: run_test(data, TestConfig(null_dist=null, critical_source=source))
+
+
+class TestNullWithoutDensity:
+    """Every route into the limit law rejects a null without a density with one message."""
+
+    @pytest.mark.parametrize("message", [
+        _raised_message(lambda: LimitLawSampler.from_distributions(two_point(0.0, 1.0))),
+        _raised_message(_run_test(_DATA_NULL, LimitLawCritical(reps=1000, grid_k=64))),
+        _raised_message(_run_test(two_point(0.0, 1.0), LimitLawCritical(reps=1000, grid_k=64))),
+        _raised_message(_run_test(_DATA_NULL, TabulatedCritical(0.46136, 1000, 64))),
+        _raised_message(_run_test(two_point(0.0, 1.0), TabulatedCritical(0.46136, 1000, 64))),
+        _raised_message(lambda: case_ii_variance(two_point(0.0, 1.0), sine_distribution(0.5))),
+        _critval_message("csv:{path}:value"),
+        _critval_message("twopoint:0,1"),
+    ], ids=["sampler", "limitlaw-empirical", "limitlaw-twopoint", "tabulated-empirical",
+            "tabulated-twopoint", "case-ii", "critval-csv", "critval-twopoint"])
+    def test_one_message(self, tmp_path, capsys, message):
+        with pytest.raises(ParameterError) as info:
+            LimitLawSampler.from_distributions(_DATA_NULL)
+        want = str(info.value)
+        assert "analytic" in want and "resampling" in want
+        assert message(tmp_path, capsys) == want
