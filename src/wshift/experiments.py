@@ -157,6 +157,12 @@ def _clamped_eps(gamma: float, n: int) -> float:
     return eps
 
 
+def _require_grids(**grids) -> None:
+    for name, values in grids.items():
+        if not values:
+            raise ParameterError(f"{name} needs at least one value")
+
+
 def _family_distribution(family: str, p: float) -> AnalyticDistribution:
     if family == "sine":
         return sine_distribution(p)
@@ -209,6 +215,7 @@ class PhaseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_grids(betas=self.betas)
         if not all(0.0 < b <= 1.0 for b in self.betas):
             raise ParameterError("betas must lie in (0, 1]")
         if self.trials < 20:
@@ -280,6 +287,7 @@ class PowerMapConfig:
     grid_k: int = 4096
 
     def __post_init__(self):
+        _require_grids(deltas=self.deltas, gammas=self.gammas)
         for d in self.deltas:
             if not 0.0 < d * math.sqrt(8.0) * math.pi <= 1.0:
                 raise ParameterError(
@@ -354,8 +362,7 @@ class ComparisonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.p_grid:
-            raise ParameterError("p_grid needs at least one family parameter")
+        _require_grids(p_grid=self.p_grid, gammas=self.gammas)
         _family_distribution(self.family, max(self.p_grid))
         if self.trials < 20:
             raise ParameterError("need at least 20 trials per grid point")
@@ -423,10 +430,9 @@ class WeightComparisonConfig:
     grid_k: int = 4096
 
     def __post_init__(self):
+        _require_grids(a_values=self.a_values, p_grid=self.p_grid, gammas=self.gammas)
         if not all(0.0 <= a < 12.0 for a in self.a_values):
             raise ParameterError("weight parameters must lie in [0, 12)")
-        if not self.p_grid:
-            raise ParameterError("p_grid needs at least one family parameter")
         _family_distribution(self.family, max(self.p_grid))
         if self.trials < 20:
             raise ParameterError("need at least 20 trials per grid point")

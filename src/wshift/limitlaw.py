@@ -21,15 +21,22 @@ density is rejected when the sampler is built, and a density at quantile
 below 1e-8 inside the weight window raises :class:`SingularDensityError`;
 :func:`case_ii_variance` goes through the same two checks.
 
-All sampling is replica-parallel in principle: draws depend only on
-(configuration, seed), and every function here is a pure function of its
-arguments.
+Bridges are drawn in chunks of 2^20 / K rows (2^20 normals; the last
+chunk may be shorter). Chunk ``i`` draws from its own stream, labelled
+("bridge-paths", i) under the sampler's seed, and the chunks run on a
+thread pool of up to eight workers (one per CPU the process may use), or
+inline when there is one worker or one chunk. The chunks are joined in
+order, so the draws depend only on (seed, K, reps), never on the number of
+workers, and the draws for ``reps`` are a prefix of the draws for any
+larger ``reps``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +61,8 @@ __all__ = [
 ]
 
 _DENSITY_FLOOR = 1e-8
-_BATCH_SCALARS = 4_000_000  # normals held in memory per simulation batch
+_CHUNK_SCALARS = 1 << 20  # normals per chunk: 8 MB per (rows, K) array
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,8 @@ class BridgeGrid:
 def _bridge_batch(k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of bridge values at the interior nodes (exact joint law)."""
     # at most two (rows, k) arrays are alive at a time
-    walk = np.cumsum(rng.standard_normal((rows, k)), axis=1)
+    walk = rng.standard_normal((rows, k))
+    np.cumsum(walk, axis=1, out=walk)
     frac = np.arange(1, k) / k
     bridge = np.outer(walk[:, -1], frac)
     np.subtract(walk[:, :-1], bridge, out=bridge)
@@ -156,21 +165,38 @@ def _node_coefficients(sampler: LimitLawSampler, need_cross: bool):
     return c_quad, c_cross
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
+    """(quad, cross) per chunk of bridge rows, in chunk order."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     c_quad, c_cross = _node_coefficients(sampler, need_cross)
-    k = sampler.grid.k
-    rng = derive_rng(sampler.seed, "bridge-paths")
-    rows = max(1, min(int(reps), _BATCH_SCALARS // k))
-    done = 0
-    while done < reps:
-        m = min(rows, int(reps) - done)
-        b = _bridge_batch(k, m, rng)
-        quad = (b * b) @ c_quad
-        cross = b @ c_cross if need_cross else None
-        yield quad, cross
-        done += m
+    k, reps = sampler.grid.k, int(reps)
+    rows = max(1, _CHUNK_SCALARS // k)
+    chunks = -(-reps // rows)
+
+    def chunk(i: int):
+        rng = derive_rng(sampler.seed, "bridge-paths", i)
+        b = _bridge_batch(k, min(rows, reps - i * rows), rng)
+        # einsum, not BLAS gemv: gemv rounds a row differently with the number
+        # of rows in the chunk and of BLAS threads (which follows the CPU count)
+        cross = np.einsum("ij,j->i", b, c_cross) if need_cross else None
+        np.square(b, out=b)
+        return np.einsum("ij,j->i", b, c_quad), cross
+
+    workers = min(_available_cpus(), chunks, _MAX_WORKERS)
+    if workers == 1:
+        yield from map(chunk, range(chunks))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            yield from pool.map(chunk, range(chunks))
 
 
 def sample_psi_null(sampler: LimitLawSampler, reps: int) -> np.ndarray:
@@ -283,6 +309,9 @@ def case_ii_variance(null: Distribution, signal: Distribution,
     ``4 (u ^ v - u v) / (f(F^{-1}(u)) f(F^{-1}(v))) gap(u) gap(v)`` against
     omega x omega, where gap is the signal-minus-null quantile difference.
     Equals four times the variance of the cross term of the boundary law.
+    The kernel is semiseparable, so with ascending nodes the quadratic form
+    is ``sum_i t_i u_i (t_i + 2 sum_{j>i} t_j) - (sum_i t_i u_i)^2``, in
+    O(resolution) time and memory.
     """
     _require_density(null)
     omega = omega if omega is not None else lebesgue()
@@ -291,5 +320,6 @@ def case_ii_variance(null: Distribution, signal: Distribution,
     u = lo + (np.arange(resolution) + 0.5) * cell
     w, pf, gap = _law_on_nodes(null, signal, omega, u)
     t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
-    kernel = np.minimum.outer(u, u) - np.outer(u, u)
-    return float(4.0 * t @ kernel @ t)
+    after = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)  # sum of t_j over j > i
+    tu = t * u
+    return float(4.0 * (tu @ (t + 2.0 * after) - tu.sum() ** 2))

@@ -249,6 +249,19 @@ class TestWeightComparison:
             config(p_grid=())
 
 
+@pytest.mark.parametrize("config, field", [
+    (PhaseConfig, "betas"),
+    (PowerMapConfig, "deltas"),
+    (PowerMapConfig, "gammas"),
+    (ComparisonConfig, "gammas"),
+    (WeightComparisonConfig, "a_values"),
+    (WeightComparisonConfig, "gammas"),
+])
+def test_empty_grid_rejected(config, field):
+    with pytest.raises(ParameterError, match=field):
+        config(**{field: ()})
+
+
 class TestCellValidation:
     def test_probability_cells_in_range(self):
         table = run_phase_transition(SMALL_PHASE)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from wshift.hypotest import LimitLawCritical, TabulatedCritical, TestConfig, run
 from wshift.limitlaw import (
     BridgeGrid,
     LimitLawSampler,
+    _CHUNK_SCALARS,
     _bridge_batch,
+    _law_on_nodes,
     _null_quantile,
     case_ii_variance,
     critical_value,
@@ -123,6 +126,53 @@ class TestPsiNull:
     def test_deterministic(self):
         s = make_sampler(seed=9, k=256)
         assert np.array_equal(sample_psi_null(s, 100), sample_psi_null(s, 100))
+
+
+class TestChunkStreams:
+    """Chunks have their own streams, so the draws do not depend on the worker count."""
+
+    K = 4096
+    ROWS = _CHUNK_SCALARS // K  # bridge rows per chunk
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(wshift.limitlaw, "ThreadPoolExecutor", RecordingPool)
+        return started
+
+    @pytest.mark.parametrize("draw", [
+        lambda s, reps: sample_psi_null(s, reps),
+        lambda s, reps: np.stack(sample_psi_components(s, reps)),
+    ], ids=["sample_psi_null", "sample_psi_components"])
+    def test_worker_count_does_not_change_draws(self, monkeypatch, pools, draw):
+        s = make_sampler(signal=sine_distribution(0.8), k=self.K, seed=51)
+        reps = 2 * self.ROWS + 5
+        monkeypatch.setattr(wshift.limitlaw, "_available_cpus", lambda: 1)
+        one = draw(s, reps)
+        assert pools == []
+        monkeypatch.setattr(wshift.limitlaw, "_available_cpus", lambda: 2)
+        two = draw(s, reps)
+        assert pools == [2]
+        assert np.array_equal(one, two)
+
+    def test_draws_are_a_prefix_of_longer_runs(self):
+        s = make_sampler(signal=sine_distribution(0.8), k=self.K, seed=52)
+        short, long = self.ROWS + 3, 3 * self.ROWS
+        assert np.array_equal(sample_psi_null(s, short), sample_psi_null(s, long)[:short])
+        for a, b in zip(sample_psi_components(s, short), sample_psi_components(s, long)):
+            assert np.array_equal(a, b[:short])
+
+    def test_single_chunk_starts_no_pool(self, monkeypatch, pools):
+        s = make_sampler(k=self.K, seed=53)
+        monkeypatch.setattr(wshift.limitlaw, "_available_cpus", lambda: 8)
+        psi = sample_psi_null(s, self.ROWS)
+        assert psi.shape == (self.ROWS,) and pools == []
 
 
 class TestCriticalValue:
@@ -256,6 +306,23 @@ class TestCaseIIVariance:
         from wshift.distributions import two_point
         with pytest.raises(ParameterError):
             case_ii_variance(two_point(0.0, 1.0), sine_distribution(0.5))
+
+    @pytest.mark.parametrize("null, signal, omega", [
+        (uniform01(), sine_distribution(1.0), lebesgue()),
+        (uniform01(), sine_distribution(0.5), quadratic_weight(2.0)),
+        (gaussian(0.0, 1.0, -4.0, 4.0), gaussian(0.5, 1.0, -3.5, 4.5), lebesgue(trim=0.01)),
+    ], ids=["sine", "quadratic", "gaussian-trimmed"])
+    def test_matches_dense_kernel(self, null, signal, omega):
+        # the O(resolution) form against the dense resolution^2 kernel
+        res = 256
+        lo, hi = omega.window
+        cell = (hi - lo) / res
+        u = lo + (np.arange(res) + 0.5) * cell
+        w, pf, gap = _law_on_nodes(null, signal, omega, u)
+        t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
+        dense = 4.0 * t @ (np.minimum.outer(u, u) - np.outer(u, u)) @ t
+        got = case_ii_variance(null, signal, omega, resolution=res)
+        assert abs(got - dense) <= 1e-12 * dense
 
     def test_truncated_gaussian_null_runs(self):
         v = case_ii_variance(gaussian(0.0, 1.0, -4.0, 4.0), gaussian(0.5, 1.0, -3.5, 4.5),
