@@ -20,6 +20,15 @@ Conventions
   built-in defaults. The config file (``--config``) is a flat text format,
   one ``key = value`` per line, ``#`` comments allowed; keys are the long
   option names without the leading dashes (e.g. ``grid-k = 2048``).
+* ``phase``, ``powermap`` and ``compare-ks`` take their options from their
+  experiment config (``PhaseConfig``, ``PowerMapConfig``,
+  ``ComparisonConfig``): one option per field whose default is a number, a
+  string or a tuple of floats, named after the field (``law_reps`` is
+  ``--law-reps``) and defaulting to the field's default. ``phase --q`` is
+  the one hand-written experiment option (the signal specifier; by default
+  the config's own signal). ``critval``, ``test`` and ``power-resample``
+  take their ``--reps``/``--grid-k`` defaults from ``LimitLawCritical``,
+  ``TabulatedCritical`` and ``ResamplingCritical``.
 * Every output directory gets a ``manifest.json`` with the exact command,
   resolved configuration, seed, input digests, and output names; outputs
   are written atomically (write-then-rename) and contain no timestamps, so
@@ -37,10 +46,11 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -352,6 +362,26 @@ def _parse_config_file(path) -> dict:
     return out
 
 
+# Help text by option destination; experiment options are named after config fields.
+_OPTION_HELP = {
+    "out": "output directory (outputs + manifest.json)",
+    "seed": "64-bit root seed; all streams derive from it",
+    "alpha": "test level",
+    "reps": "Monte Carlo repetitions",
+    "trials": "trials per grid cell",
+    "grid_k": "bridge grid size (power of two)",
+    "n": "sample size per trial",
+    "betas": "comma-separated decay exponents",
+    "deltas": "comma-separated signal strengths",
+    "gammas": "comma-separated boundary constants",
+    "p_grid": "comma-separated family parameters",
+    "family": "signal family: sine or tail",
+    "critical": "Wasserstein critical value",
+    "ks_critical": "KS critical value",
+    "law_reps": "draws of the boundary law per delta",
+}
+
+
 class _Options:
     """Declarative option set with typed defaults and config-file resolution."""
 
@@ -360,10 +390,12 @@ class _Options:
         self.specs: dict[str, tuple] = {}  # dest -> (key, converter, default)
         parser.add_argument("--config", metavar="PATH", default=None,
                             help="flat key = value config file (flags win)")
+        self.add("--out", str, None)
 
-    def add(self, flag: str, converter, default, help: str, metavar=None):
+    def add(self, flag: str, converter, default, help: str | None = None, metavar=None):
         dest = flag.lstrip("-").replace("-", "_")
         key = flag.lstrip("-")
+        help = help or _OPTION_HELP.get(dest, key)
         shown = "" if default is None else f" [default: {default}]"
         self.parser.add_argument(flag, dest=dest, default=None, metavar=metavar,
                                  help=help + shown)
@@ -397,16 +429,38 @@ def _bool(text) -> bool:
     raise ParameterError(f"expected a boolean, got {text!r}")
 
 
-def _common_options(opts: _Options, *, reps=None, trials=None, grid_k=None):
-    opts.add("--seed", int, 0, "64-bit root seed; all streams derive from it")
-    opts.add("--out", str, None, "output directory (outputs + manifest.json)")
-    opts.add("--alpha", float, 0.05, "test level")
-    if reps is not None:
-        opts.add("--reps", int, reps, "Monte Carlo repetitions")
-    if trials is not None:
-        opts.add("--trials", int, trials, "trials per grid cell")
-    if grid_k is not None:
-        opts.add("--grid-k", int, grid_k, "bridge grid size (power of two)")
+def _common_options(opts: _Options, *, alpha=True, reps=None, trials=None, grid_k=None):
+    opts.add("--seed", int, 0)
+    if alpha:
+        opts.add("--alpha", float, 0.05)
+    for flag, default in (("--reps", reps), ("--trials", trials), ("--grid-k", grid_k)):
+        if default is not None:
+            opts.add(flag, int, default)
+
+
+def _config_options(opts: _Options, config_cls) -> None:
+    """One option per field of ``config_cls`` whose default is an int, float, str or float tuple.
+
+    The option is the field name with ``-`` for ``_``, its default is the
+    field's, and its converter follows the default's type. Fields filled by
+    a factory (laws, weights) get no option.
+    """
+    for f in fields(config_cls):
+        if isinstance(f.default, tuple) and all(isinstance(x, float) for x in f.default):
+            converter = _float_list
+        elif type(f.default) in (int, float, str):
+            converter = type(f.default)
+        else:
+            continue
+        opts.add("--" + f.name.replace("_", "-"), converter, f.default)
+
+
+def _experiment_config(config_cls, opts_values: dict):
+    """The config built from resolved option values; ``--q`` (``phase``) sets the signal."""
+    kwargs = {f.name: opts_values[f.name] for f in fields(config_cls) if f.name in opts_values}
+    if opts_values.get("q") is not None:
+        kwargs["signal"] = parse_distribution(opts_values["q"])
+    return config_cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -484,71 +538,17 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     return 3 if outcome.reject else 0
 
 
-def _cmd_phase(opts_values: dict, argv: list[str]) -> int:
-    cfg = PhaseConfig(
-        signal=parse_distribution(opts_values["q"]),
-        n=opts_values["n"],
-        betas=opts_values["betas"],
-        trials=opts_values["trials"],
-        alpha=opts_values["alpha"],
-        critical=opts_values["critical"],
-        seed=opts_values["seed"],
-    )
-    table = run_phase_transition(cfg)
-    for beta in cfg.betas:
-        c = table.cell("error_sum", beta)
-        print(f"beta={beta:g}  error_sum={c.value:.4f} (se={c.se:.4f})")
+def _cmd_experiment(config_cls, run, stem: str, summary: tuple[str, ...],
+                    opts_values: dict, argv: list[str]) -> int:
+    table = run(_experiment_config(config_cls, opts_values))
+    for cell in table.cells:
+        if cell.metric != summary[0]:
+            continue
+        at = " ".join(f"{a}={v:g}" for a, v in zip(table.axis_names, cell.axes))
+        shown = (table.cell(m, *cell.axes) for m in summary)
+        print(at + "  " + " ".join(f"{c.metric}={c.value:.4f} (se={c.se:.4f})" for c in shown))
     sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"])
-    sink.write_table("phase", table)
-    sink.finish()
-    return 0
-
-
-def _cmd_powermap(opts_values: dict, argv: list[str]) -> int:
-    cfg = PowerMapConfig(
-        deltas=opts_values["deltas"],
-        gammas=opts_values["gammas"],
-        n=opts_values["n"],
-        trials=opts_values["trials"],
-        alpha=opts_values["alpha"],
-        critical=opts_values["critical"],
-        seed=opts_values["seed"],
-        law_reps=opts_values["law_reps"],
-        grid_k=opts_values["grid_k"],
-    )
-    table = run_power_map(cfg)
-    for delta in cfg.deltas:
-        for gamma in cfg.gammas:
-            emp = table.cell("type2_empirical", delta, gamma)
-            theo = table.cell("type2_theoretical", delta, gamma)
-            print(f"delta={delta:g} gamma={gamma:g}  type2={emp.value:.3f} "
-                  f"predicted={theo.value:.3f}")
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"])
-    sink.write_table("powermap", table)
-    sink.finish()
-    return 0
-
-
-def _cmd_compare_ks(opts_values: dict, argv: list[str]) -> int:
-    cfg = ComparisonConfig(
-        family=opts_values["family"],
-        p_grid=opts_values["p_grid"],
-        gammas=opts_values["gammas"],
-        n=opts_values["n"],
-        trials=opts_values["trials"],
-        alpha=opts_values["alpha"],
-        critical=opts_values["critical"],
-        ks_critical=opts_values["ks_critical"],
-        seed=opts_values["seed"],
-    )
-    table = run_ks_comparison(cfg)
-    for p in cfg.p_grid:
-        for gamma in cfg.gammas:
-            w = table.cell("power_w2", p, gamma)
-            k = table.cell("power_ks", p, gamma)
-            print(f"p={p:g} gamma={gamma:g}  power_w2={w.value:.3f} power_ks={k.value:.3f}")
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"])
-    sink.write_table("compare_ks", table)
+    sink.write_table(stem, table)
     sink.finish()
     return 0
 
@@ -621,12 +621,13 @@ def _cmd_power_resample(opts_values: dict, argv: list[str]) -> int:
     if baseline not in table.distributions:
         raise ParameterError(f"baseline period {baseline!r} not present "
                              f"(have {list(table.periods)})")
+    compared = [label for label in table.periods if label != baseline]
+    if not compared:
+        raise ParameterError(f"{data_path}: no period besides the baseline {baseline!r}")
     reference = table[baseline]
     lines = ["period,n,power,se,trials"]
     trials = opts_values["trials"]
-    for label in table.periods:
-        if label == baseline:
-            continue
+    for label in compared:
         for n in opts_values["n_grid"]:
             power = resampling_power(
                 reference, table[label], n, opts_values["alpha"], trials,
@@ -652,6 +653,17 @@ def _label_seed(seed: int, label: str, n: int) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+# subcommand -> (help, config class, runner, output stem, metrics printed per grid point)
+_EXPERIMENTS = {
+    "phase": ("error-sum curve across shift decay exponents", PhaseConfig,
+              run_phase_transition, "phase", ("error_sum",)),
+    "powermap": ("Type II error map with limit-law predictions", PowerMapConfig,
+                 run_power_map, "powermap", ("type2_empirical", "type2_theoretical")),
+    "compare-ks": ("power comparison against the KS test", ComparisonConfig,
+                   run_ks_comparison, "compare_ks", ("power_w2", "power_ks")),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="wshift",
@@ -669,13 +681,14 @@ def _build_parser():
         handlers[name] = (opts, handler)
 
     def conf_critval(o: _Options):
-        _common_options(o, reps=100_000, grid_k=4096)
+        _common_options(o, reps=LimitLawCritical.reps, grid_k=LimitLawCritical.grid_k)
         o.add("--null", str, "uniform01", "null distribution specifier")
         o.add("--weight", str, "lebesgue", "weight measure specifier")
         o.add("--trim", float, 0.0, "trim the weight to [trim, 1 - trim]")
 
     def conf_test(o: _Options):
-        _common_options(o, reps=20_000, grid_k=2048)
+        _common_options(o, reps=TabulatedCritical.reference_reps,
+                        grid_k=TabulatedCritical.grid_k)
         o.add("--null", str, "uniform01", "null distribution specifier")
         o.add("--data", str, None, "CSV file with the sample")
         o.add("--column", str, "value", "value column in --data")
@@ -686,39 +699,16 @@ def _build_parser():
         o.add("--tabulated-value", float, None, "critical value for tabulated source")
         o.add("--replace", _bool, True, "resample with replacement")
 
-    def conf_phase(o: _Options):
-        _common_options(o, trials=PhaseConfig.trials)
-        o.add("--q", str, "gaussian:0,1,-8,8", "signal distribution specifier")
-        o.add("--n", int, PhaseConfig.n, "sample size per trial")
-        o.add("--betas", _float_list, PhaseConfig.betas, "comma-separated decay exponents")
-        o.add("--critical", float, PhaseConfig.critical,
-              "critical value for the scaled statistic")
-
-    def conf_powermap(o: _Options):
-        _common_options(o, trials=PowerMapConfig.trials, grid_k=PowerMapConfig.grid_k)
-        o.add("--deltas", _float_list, PowerMapConfig.deltas,
-              "comma-separated signal strengths")
-        o.add("--gammas", _float_list, PowerMapConfig.gammas,
-              "comma-separated boundary constants")
-        o.add("--n", int, PowerMapConfig.n, "sample size per trial")
-        o.add("--critical", float, PowerMapConfig.critical,
-              "critical value for the scaled statistic")
-        o.add("--law-reps", int, PowerMapConfig.law_reps,
-              "draws of the boundary law per delta")
-
-    def conf_compare(o: _Options):
-        _common_options(o, trials=ComparisonConfig.trials)
-        o.add("--family", str, ComparisonConfig.family, "signal family: sine or tail")
-        o.add("--p-grid", _float_list, ComparisonConfig.p_grid,
-              "comma-separated family parameters")
-        o.add("--gammas", _float_list, ComparisonConfig.gammas,
-              "comma-separated boundary constants")
-        o.add("--n", int, ComparisonConfig.n, "sample size per trial")
-        o.add("--critical", float, ComparisonConfig.critical, "Wasserstein critical value")
-        o.add("--ks-critical", float, ComparisonConfig.ks_critical, "KS critical value")
+    def conf_experiment(config_cls):
+        def configure(o: _Options):
+            _config_options(o, config_cls)
+            if config_cls is PhaseConfig:  # the one hand-written experiment option
+                o.add("--q", str, None,
+                      "signal distribution specifier [default: PhaseConfig's signal]")
+        return configure
 
     def conf_interpolate(o: _Options):
-        _common_options(o)
+        _common_options(o, alpha=False)
         o.add("--source", str, None, "CSV file with the start sample")
         o.add("--target", str, None, "CSV file with the end sample")
         o.add("--source-column", str, "value", "value column in --source")
@@ -728,7 +718,7 @@ def _build_parser():
         o.add("--grid-points", int, 512, "rows per quantile table")
 
     def conf_power_resample(o: _Options):
-        _common_options(o, reps=1000, trials=100)
+        _common_options(o, reps=ResamplingCritical.reps, trials=100)
         o.add("--data", str, None, "CSV file with (period, value) rows")
         o.add("--period-column", str, "period", "period label column")
         o.add("--value-column", str, "value", "value column")
@@ -741,12 +731,9 @@ def _build_parser():
              conf_critval, _cmd_critval)
     register("test", "goodness-of-fit test of a data column against a null",
              conf_test, _cmd_test)
-    register("phase", "error-sum curve across shift decay exponents",
-             conf_phase, _cmd_phase)
-    register("powermap", "Type II error map with limit-law predictions",
-             conf_powermap, _cmd_powermap)
-    register("compare-ks", "power comparison against the KS test",
-             conf_compare, _cmd_compare_ks)
+    for name, (help_text, config_cls, run, stem, summary) in _EXPERIMENTS.items():
+        register(name, help_text, conf_experiment(config_cls),
+                 functools.partial(_cmd_experiment, config_cls, run, stem, summary))
     register("interpolate", "displacement / mixture paths between two samples",
              conf_interpolate, _cmd_interpolate)
     register("power-resample", "resampling power table for grouped observations",

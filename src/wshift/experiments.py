@@ -14,15 +14,21 @@ Four scripted experiments, each returning a :class:`ResultTable`:
 Null samples are draws of the null; alternative samples are draws of
 ``displacement_interpolate(null, signal, eps)``, the law a fraction eps of
 the way along the transport path, whose quantile ``(1 - eps) F^{-1} +
-eps G^{-1}`` maps one uniform stream through both laws at once. Both come
-from :func:`~wshift.distributions._sorted_blocks`. Given the same (seed,
-family, p, gamma, n, trials), :func:`run_ks_comparison` and
+eps G^{-1}`` maps one uniform stream through both laws at once. One block
+evaluator, ``_counts``, draws every cell's samples with
+:func:`~wshift.distributions._sorted_blocks` on the cell's labeled stream
+and scores them with every test at once. Given the same (seed, family, p,
+gamma, n, trials), :func:`run_ks_comparison` and
 :func:`run_weight_comparison` therefore see identical samples, so the
 unit-weight column of the latter reproduces the former exactly.
 
 Every cell records its trial count and the binomial standard error; grid
 cells draw from independent labeled streams, so tables are bit-reproducible
-from (config, seed) and independent of evaluation order.
+from (config, seed) and independent of evaluation order. Each config is the
+one declaration of its experiment's parameters: ``__post_init__`` checks
+that every tuple field is a non-empty grid, the table's ``config`` echoes
+every field (``_config_echo``), and the CLI derives its options from the
+fields' defaults.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -157,10 +163,30 @@ def _clamped_eps(gamma: float, n: int) -> float:
     return eps
 
 
-def _require_grids(**grids) -> None:
-    for name, values in grids.items():
-        if not values:
-            raise ParameterError(f"{name} needs at least one value")
+def _check_grids_and_trials(cfg) -> None:
+    """Every tuple field of an experiment config is a non-empty grid; trials >= 20."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple) and not value:
+            raise ParameterError(f"{f.name} needs at least one value")
+    if cfg.trials < 20:
+        raise ParameterError("need at least 20 trials per grid point")
+
+
+def _config_echo(cfg, experiment: str, **extra) -> dict:
+    """JSON-ready copy of a config's fields (and ``extra``) for a table's ``config``.
+
+    Laws are echoed by name, weights by description and grids as lists.
+    """
+    def echo(value):
+        if isinstance(value, tuple):
+            return list(value)
+        if isinstance(value, WeightMeasure):
+            return value.describe()
+        return getattr(value, "name", value)
+
+    items = {**extra, **{f.name: getattr(cfg, f.name) for f in fields(cfg)}}
+    return {"experiment": experiment, **{k: echo(v) for k, v in items.items()}}
 
 
 def _family_distribution(family: str, p: float) -> AnalyticDistribution:
@@ -171,23 +197,27 @@ def _family_distribution(family: str, p: float) -> AnalyticDistribution:
     raise ParameterError(f"unknown signal family {family!r}; use 'sine' or 'tail'")
 
 
-def _null_counts(tests, n: int, trials: int, seed: int) -> list[int]:
-    """Rejections over ``trials`` uniform samples (the null-calibration stream)."""
-    rng = derive_rng(seed, "null-trials", n)
-    return _reject_counts(_sorted_blocks(uniform01(), n, trials, rng), tests)
+def _counts(tests, dist: Distribution, n: int, trials: int, seed: int, *label) -> list[int]:
+    """Rejections per test over ``trials`` sorted samples of size n from ``dist``.
+
+    The samples come from the stream ``label`` under ``seed``; every grid cell
+    of every experiment is evaluated here.
+    """
+    rng = derive_rng(seed, *label)
+    return _reject_counts(_sorted_blocks(dist, n, trials, rng), tests)
 
 
 def _shift_counts(tests, family: str, p: float, gamma: float, n: int, trials: int,
                   seed: int) -> list[int]:
-    """Rejections over ``trials`` samples shifted ``gamma / sqrt(n)`` toward ``family(p)``.
+    """:func:`_counts` for samples shifted ``gamma / sqrt(n)`` toward ``family(p)``.
 
     The stream is labeled by (family, p, gamma, n) alone, so experiments run
     with the same seed see identical samples.
     """
-    signal = _family_distribution(family, p)
-    shifted = displacement_interpolate(uniform01(), signal, _clamped_eps(gamma, n))
-    rng = derive_rng(seed, "shift-trials", family, repr(float(p)), repr(float(gamma)), n)
-    return _reject_counts(_sorted_blocks(shifted, n, trials, rng), tests)
+    shifted = displacement_interpolate(uniform01(), _family_distribution(family, p),
+                                       _clamped_eps(gamma, n))
+    return _counts(tests, shifted, n, trials, seed,
+                   "shift-trials", family, repr(float(p)), repr(float(gamma)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +245,9 @@ class PhaseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_grids(betas=self.betas)
+        _check_grids_and_trials(self)
         if not all(0.0 < b <= 1.0 for b in self.betas):
             raise ParameterError("betas must lie in (0, 1]")
-        if self.trials < 20:
-            raise ParameterError("need at least 20 trials per grid point")
 
 
 def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
@@ -228,14 +256,11 @@ def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
               cfg.critical)]
     cells: list[Cell] = []
     for beta in cfg.betas:
-        eps = float(cfg.n) ** (-beta)
-        null_rng = derive_rng(cfg.seed, "phase-null", repr(float(beta)), cfg.n)
-        alt_rng = derive_rng(cfg.seed, "phase-alt", repr(float(beta)), cfg.n)
-        [rej_null] = _reject_counts(
-            _sorted_blocks(cfg.null, cfg.n, cfg.trials, null_rng), tests)
-        shifted = displacement_interpolate(cfg.null, cfg.signal, eps)
-        [rej_alt] = _reject_counts(
-            _sorted_blocks(shifted, cfg.n, cfg.trials, alt_rng), tests)
+        shifted = displacement_interpolate(cfg.null, cfg.signal, float(cfg.n) ** (-beta))
+        [rej_null] = _counts(tests, cfg.null, cfg.n, cfg.trials, cfg.seed,
+                             "phase-null", repr(float(beta)), cfg.n)
+        [rej_alt] = _counts(tests, shifted, cfg.n, cfg.trials, cfg.seed,
+                            "phase-alt", repr(float(beta)), cfg.n)
         type1 = rej_null / cfg.trials
         type2 = 1.0 - rej_alt / cfg.trials
         c1 = _prob_cell((beta,), "type1", type1, cfg.trials)
@@ -247,19 +272,7 @@ def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
         cells.append(c2)
         cells.append(Cell((float(beta),), "error_sum", total,
                           math.hypot(c1.se, c2.se), cfg.trials))
-    config = {
-        "experiment": "phase_transition",
-        "null": cfg.null.name,
-        "signal": cfg.signal.name,
-        "n": cfg.n,
-        "betas": list(cfg.betas),
-        "trials": cfg.trials,
-        "alpha": cfg.alpha,
-        "critical": cfg.critical,
-        "omega": cfg.omega.describe(),
-        "seed": cfg.seed,
-    }
-    return ResultTable(("beta",), tuple(cells), config)
+    return ResultTable(("beta",), tuple(cells), _config_echo(cfg, "phase_transition"))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +300,11 @@ class PowerMapConfig:
     grid_k: int = 4096
 
     def __post_init__(self):
-        _require_grids(deltas=self.deltas, gammas=self.gammas)
+        _check_grids_and_trials(self)
         for d in self.deltas:
             if not 0.0 < d * math.sqrt(8.0) * math.pi <= 1.0:
                 raise ParameterError(
                     f"delta={d} is not realizable: need delta^2 < 1/(8 pi^2)")
-        if self.trials < 20:
-            raise ParameterError("need at least 20 trials per grid point")
 
 
 def run_power_map(cfg: PowerMapConfig) -> ResultTable:
@@ -307,7 +318,7 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     tests = [(_w2_statistic(plan_scaled_statistic(null, omega, cfg.n)), cfg.critical)]
     cells: list[Cell] = []
 
-    [rejected] = _null_counts(tests, cfg.n, cfg.trials, cfg.seed)
+    [rejected] = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
     cells.append(_prob_cell((0.0, 0.0), "type1", rejected / cfg.trials, cfg.trials))
 
     grid = BridgeGrid(cfg.grid_k)
@@ -326,21 +337,8 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
                                     1.0 - rejected / cfg.trials, cfg.trials))
             cells.append(_prob_cell((delta, gamma), "type2_theoretical",
                                     theo, cfg.law_reps))
-    config = {
-        "experiment": "power_map",
-        "null": null.name,
-        "deltas": list(cfg.deltas),
-        "gammas": list(cfg.gammas),
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "alpha": cfg.alpha,
-        "critical": cfg.critical,
-        "omega": omega.describe(),
-        "seed": cfg.seed,
-        "law_reps": cfg.law_reps,
-        "grid_k": cfg.grid_k,
-    }
-    return ResultTable(("delta", "gamma"), tuple(cells), config)
+    return ResultTable(("delta", "gamma"), tuple(cells),
+                       _config_echo(cfg, "power_map", null=null, omega=omega))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +360,9 @@ class ComparisonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_grids(p_grid=self.p_grid, gammas=self.gammas)
-        _family_distribution(self.family, max(self.p_grid))
-        if self.trials < 20:
-            raise ParameterError("need at least 20 trials per grid point")
+        _check_grids_and_trials(self)
+        for p in self.p_grid:
+            _family_distribution(self.family, p)
 
 
 def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
@@ -376,7 +373,7 @@ def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
              (lambda block: ks_statistics_sorted(block, null), cfg.ks_critical)]
     cells: list[Cell] = []
 
-    rej_w, rej_ks = _null_counts(tests, cfg.n, cfg.trials, cfg.seed)
+    rej_w, rej_ks = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
     cells.append(_prob_cell((0.0, 0.0), "type1_w2", rej_w / cfg.trials, cfg.trials))
     cells.append(_prob_cell((0.0, 0.0), "type1_ks", rej_ks / cfg.trials, cfg.trials))
 
@@ -386,21 +383,8 @@ def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
                                           cfg.seed)
             cells.append(_prob_cell((p, gamma), "power_w2", rej_w / cfg.trials, cfg.trials))
             cells.append(_prob_cell((p, gamma), "power_ks", rej_ks / cfg.trials, cfg.trials))
-    config = {
-        "experiment": "ks_comparison",
-        "null": null.name,
-        "family": cfg.family,
-        "p_grid": list(cfg.p_grid),
-        "gammas": list(cfg.gammas),
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "alpha": cfg.alpha,
-        "critical": cfg.critical,
-        "ks_critical": cfg.ks_critical,
-        "omega": omega.describe(),
-        "seed": cfg.seed,
-    }
-    return ResultTable(("p", "gamma"), tuple(cells), config)
+    return ResultTable(("p", "gamma"), tuple(cells),
+                       _config_echo(cfg, "ks_comparison", null=null, omega=omega))
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +414,11 @@ class WeightComparisonConfig:
     grid_k: int = 4096
 
     def __post_init__(self):
-        _require_grids(a_values=self.a_values, p_grid=self.p_grid, gammas=self.gammas)
+        _check_grids_and_trials(self)
         if not all(0.0 <= a < 12.0 for a in self.a_values):
             raise ParameterError("weight parameters must lie in [0, 12)")
-        _family_distribution(self.family, max(self.p_grid))
-        if self.trials < 20:
-            raise ParameterError("need at least 20 trials per grid point")
+        for p in self.p_grid:
+            _family_distribution(self.family, p)
 
 
 def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
@@ -458,7 +441,7 @@ def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
     # The sample streams do not depend on a, so each block is drawn once and
     # scored by every weight's plan.
     tests = [(_w2_statistic(plans[a]), criticals[a]) for a in cfg.a_values]
-    type1 = _null_counts(tests, cfg.n, cfg.trials, cfg.seed)
+    type1 = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
     power = {(p, gamma): _shift_counts(tests, cfg.family, p, gamma, cfg.n, cfg.trials, cfg.seed)
              for p in cfg.p_grid for gamma in cfg.gammas}
 
@@ -466,19 +449,7 @@ def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
              for i, a in enumerate(cfg.a_values)]
     cells += [_prob_cell((a, p, gamma), "power", power[p, gamma][i] / cfg.trials, cfg.trials)
               for i, a in enumerate(cfg.a_values) for p in cfg.p_grid for gamma in cfg.gammas]
-    config = {
-        "experiment": "weight_comparison",
-        "null": null.name,
-        "family": cfg.family,
-        "a_values": list(cfg.a_values),
-        "p_grid": list(cfg.p_grid),
-        "gammas": list(cfg.gammas),
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "alpha": cfg.alpha,
-        "critical_values": {f"{a:g}": criticals[a] for a in cfg.a_values},
-        "seed": cfg.seed,
-        "law_reps": cfg.law_reps,
-        "grid_k": cfg.grid_k,
-    }
-    return ResultTable(("a", "p", "gamma"), tuple(cells), config)
+    critical_values = {f"{a:g}": criticals[a] for a in cfg.a_values}
+    return ResultTable(("a", "p", "gamma"), tuple(cells),
+                       _config_echo(cfg, "weight_comparison", null=null,
+                                    critical_values=critical_values))

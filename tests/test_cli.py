@@ -1,10 +1,14 @@
 """Tests for CSV ingestion, specifier parsing, subcommands, and manifests."""
 
 import json
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wshift import cli
 from wshift.cli import (
     CsvSchema,
     ingest_csv,
@@ -14,6 +18,7 @@ from wshift.cli import (
 )
 from wshift.distributions import EmpiricalDistribution, sample, uniform01
 from wshift.errors import DataFormatError, ParameterError
+from wshift.experiments import ComparisonConfig, PhaseConfig, PowerMapConfig, _config_echo
 
 
 def write_sample_csv(path, values, column="value"):
@@ -197,6 +202,9 @@ class TestEmptyGridInputs:
         ["compare-ks", "--gammas", ","],
         ["power-resample", "--data", "{panel}", "--n-grid", ","],
         ["interpolate", "--source", "{a}", "--target", "{b}", "--grid-points", "0"],
+        # a baseline with no other period to compare against
+        ["power-resample", "--data", "{lone}", "--n-grid", "10", "--trials", "20",
+         "--reps", "100"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         rng = np.random.default_rng(8)
@@ -205,8 +213,10 @@ class TestEmptyGridInputs:
         panel = tmp_path / "panel.csv"
         panel.write_text("period,value\n" + "".join(
             f"{label},{v}\n" for label in ("base", "later") for v in rng.normal(0, 1, 50)))
+        lone = tmp_path / "lone.csv"
+        lone.write_text("period,value\n" + "".join(f"base,{v}\n" for v in rng.normal(0, 1, 50)))
         out = tmp_path / "out"
-        argv = [a.format(a=tmp_path / "a.csv", b=tmp_path / "b.csv", panel=panel)
+        argv = [a.format(a=tmp_path / "a.csv", b=tmp_path / "b.csv", panel=panel, lone=lone)
                 for a in argv]
         assert main([*argv, "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
@@ -332,3 +342,56 @@ class TestHelpText:
         text = capsys.readouterr().out
         assert "--seed" in text
         assert "[default:" in text
+
+
+EXPERIMENT_COMMANDS = [("phase", PhaseConfig), ("powermap", PowerMapConfig),
+                       ("compare-ks", ComparisonConfig)]
+
+
+def _resolve(command, argv=()):
+    parser, handlers = cli._build_parser()
+    opts, _ = handlers[command]
+    return opts, opts.resolve(parser.parse_args([command, *argv]))
+
+
+class TestDerivedOptions:
+    """Experiment options are the config's fields, with the config's defaults."""
+
+    @pytest.mark.parametrize("command, config_cls", EXPERIMENT_COMMANDS)
+    def test_empty_argv_builds_the_default_config(self, command, config_cls):
+        _, values = _resolve(command)
+        cfg = cli._experiment_config(config_cls, values)
+        # laws are compared by name: two default factories give distinct objects
+        assert _config_echo(cfg, command) == _config_echo(config_cls(), command)
+
+    @pytest.mark.parametrize("command, config_cls", EXPERIMENT_COMMANDS)
+    def test_options_are_the_primitive_fields(self, command, config_cls):
+        opts, _ = _resolve(command)
+        flags = {s for a in opts.parser._actions for s in a.option_strings}
+        primitive = {"--" + f.name.replace("_", "-") for f in fields(config_cls)
+                     if isinstance(f.default, (int, float, str, tuple))}
+        extra = {"--config", "--out"} | ({"--q"} if command == "phase" else set())
+        assert flags - {"-h", "--help"} == primitive | extra
+
+    def test_converters_follow_the_default_types(self):
+        _, values = _resolve("phase", ["--n", "2000", "--betas", "0.3,0.7", "--alpha", "0.1",
+                                       "--q", "sine:0.5"])
+        cfg = cli._experiment_config(PhaseConfig, values)
+        assert (cfg.n, cfg.betas, cfg.alpha, cfg.signal.name) == (2000, (0.3, 0.7), 0.1,
+                                                                  "sine(0.5)")
+        assert type(cfg.n) is int
+
+    def test_interpolate_has_no_alpha(self, capsys):
+        assert main(["interpolate", "--alpha", "0.05"]) == 2
+        assert "--alpha" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("wshift ")]
+    parser, handlers = cli._build_parser()
+    assert {argv[1] for argv in commands} == set(handlers)
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a bad option exits with SystemExit

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -243,10 +244,15 @@ class TestWeightComparison:
         with pytest.raises(ParameterError):
             WeightComparisonConfig(a_values=(13.0,))
 
-    @pytest.mark.parametrize("config", [WeightComparisonConfig, ComparisonConfig])
-    def test_empty_p_grid_rejected(self, config):
-        with pytest.raises(ParameterError, match="p_grid"):
-            config(p_grid=())
+    @pytest.mark.parametrize("config, kwargs, match", [
+        (WeightComparisonConfig, dict(p_grid=()), "p_grid"),
+        (ComparisonConfig, dict(p_grid=()), "p_grid"),
+        # every p is checked against the family, not only the largest
+        (ComparisonConfig, dict(family="tail", p_grid=(0.0, 0.3)), "tail distribution"),
+    ], ids=["WeightComparisonConfig", "ComparisonConfig", "ComparisonConfig-tail-p0"])
+    def test_empty_p_grid_rejected(self, config, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            config(**kwargs)
 
 
 @pytest.mark.parametrize("config, field", [
@@ -260,6 +266,20 @@ class TestWeightComparison:
 def test_empty_grid_rejected(config, field):
     with pytest.raises(ParameterError, match=field):
         config(**{field: ()})
+
+
+@pytest.mark.parametrize("cfg, run", [
+    (PhaseConfig(n=500, betas=(0.5,), trials=20), run_phase_transition),
+    (PowerMapConfig(deltas=(0.05,), gammas=(5.0,), n=500, trials=20, law_reps=100,
+                    grid_k=64), run_power_map),
+    (ComparisonConfig(p_grid=(0.5,), gammas=(4.0,), n=500, trials=20), run_ks_comparison),
+    (WeightComparisonConfig(a_values=(0.0, 1.0), p_grid=(0.3,), gammas=(4.0,), n=500,
+                            trials=20, law_reps=100, grid_k=64), run_weight_comparison),
+], ids=["phase", "power_map", "ks_comparison", "weight_comparison"])
+def test_json_echo_names_every_field(cfg, run):
+    config = json.loads(json.dumps(run(cfg).to_dict()))["config"]
+    assert {f.name for f in fields(cfg)} <= set(config)
+    assert config["trials"] == cfg.trials and config["seed"] == cfg.seed
 
 
 class TestCellValidation:
