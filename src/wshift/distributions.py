@@ -26,6 +26,9 @@ Conventions
 * All distribution objects are immutable and safe to share across threads.
   Sampling takes an explicit seed (or Generator), so parallel callers own
   independent streams.
+* :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is first
+  called; it is the only scipy use, so importing the package, and every
+  command that builds no Gaussian law, never loads scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._seeds import derive_rng
 from .errors import DomainError, EmptySampleError, ParameterError
@@ -314,6 +316,8 @@ def gaussian(mean: float = 0.0, sd: float = 1.0,
     satisfy the compact-support assumption used by the limit-law machinery;
     distance computations on it require a trimmed weight measure.
     """
+    from scipy.special import ndtr, ndtri  # deferred: the package's only scipy use
+
     if sd <= 0.0:
         raise ParameterError(f"gaussian sd must be positive, got {sd}")
     m, s = float(mean), float(sd)

@@ -28,7 +28,8 @@ thread pool of up to eight workers (one per CPU the process may use), or
 inline when there is one worker or one chunk. The chunks are joined in
 order, so the draws depend only on (seed, K, reps), never on the number of
 workers, and the draws for ``reps`` are a prefix of the draws for any
-larger ``reps``.
+larger ``reps``, at every K: a row's contraction is rounded the same way
+whether its chunk holds one row or many.
 """
 
 from __future__ import annotations
@@ -173,6 +174,17 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``b @ c`` rounded the same way for a row whatever the number of rows in ``b``."""
+    # einsum, not BLAS gemv: gemv rounds a row differently with the number of
+    # rows and of BLAS threads (which follows the CPU count). einsum sums a lone
+    # row of 16383 or more values in another order than the same row inside a
+    # block, so a one-row chunk is contracted as two copies of itself.
+    if b.shape[0] == 1:
+        return np.einsum("ij,j->i", np.repeat(b, 2, axis=0), c)[:1]
+    return np.einsum("ij,j->i", b, c)
+
+
 def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
     """(quad, cross) per chunk of bridge rows, in chunk order."""
     if reps < 1:
@@ -185,11 +197,9 @@ def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
     def chunk(i: int):
         rng = derive_rng(sampler.seed, "bridge-paths", i)
         b = _bridge_batch(k, min(rows, reps - i * rows), rng)
-        # einsum, not BLAS gemv: gemv rounds a row differently with the number
-        # of rows in the chunk and of BLAS threads (which follows the CPU count)
-        cross = np.einsum("ij,j->i", b, c_cross) if need_cross else None
+        cross = _row_dots(b, c_cross) if need_cross else None
         np.square(b, out=b)
-        return np.einsum("ij,j->i", b, c_quad), cross
+        return _row_dots(b, c_quad), cross
 
     workers = min(_available_cpus(), chunks, _MAX_WORKERS)
     if workers == 1:

@@ -11,7 +11,8 @@ with either a closed form or fixed-order Gauss-Legendre panels:
 * everything else: 8-node Gauss-Legendre on panels no wider than 1/32,
   with geometric refinement toward the window endpoints so that the mild
   endpoint singularities of bounded quantiles (e.g. truncated Gaussians)
-  are integrated accurately.
+  are integrated accurately. The nodes and weights are built on first use,
+  so importing the module does not load ``numpy.polynomial``.
 
 The batched statistic ``n W2^2(sample, null)`` has one plan layout for
 every null: per-sample-slot moments of the null quantile (see
@@ -28,6 +29,7 @@ on binned data, and relative-distance curves along a series of samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -160,9 +162,17 @@ def _polyval(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 # Gauss-Legendre panel machinery
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _DEFAULT_MAX_PANEL = 1.0 / 32.0
 _END_REFINE_WIDTH = 1e-13
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _refine_panels(lefts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +217,9 @@ def _panel_nodes(edges: np.ndarray,
     """Flattened Gauss-Legendre nodes and weights for the panel layout."""
     lefts, widths = _panel_layout(edges, max_panel)
     half = 0.5 * widths
-    nodes = lefts[:, None] + half[:, None] * (_GL_X + 1.0)[None, :]
-    wts = half[:, None] * _GL_W[None, :]
+    gl_x, gl_w = _gauss_legendre()
+    nodes = lefts[:, None] + half[:, None] * (gl_x + 1.0)[None, :]
+    wts = half[:, None] * gl_w[None, :]
     return nodes.ravel(), wts.ravel()
 
 
@@ -267,9 +278,10 @@ def _segment_masses(edges: np.ndarray, omega: WeightMeasure) -> np.ndarray:
         return np.diff(_polyval(anti, edges))
     lefts = edges[:-1]
     half = 0.5 * np.diff(edges)
-    nodes = lefts[:, None] + half[:, None] * (_GL_X + 1.0)[None, :]
+    gl_x, gl_w = _gauss_legendre()
+    nodes = lefts[:, None] + half[:, None] * (gl_x + 1.0)[None, :]
     vals = omega.density_fn(nodes.ravel()).reshape(nodes.shape)
-    return (vals @ _GL_W) * half
+    return (vals @ gl_w) * half
 
 
 def w2_weighted_squared(mu: Distribution, nu: Distribution,
@@ -602,10 +614,7 @@ def _plan_by_quadrature(null: Distribution, omega: WeightMeasure,
     # the null's breakpoints (an empirical null's jumps included) split the
     # slots, so every panel sees a smooth null quantile
     edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
-    lefts, widths = _panel_layout(edges, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
-    half = 0.5 * widths
-    nodes = (lefts[:, None] + half[:, None] * (_GL_X + 1.0)[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    nodes, wts = _panel_nodes(edges, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
     w = omega.density_fn(nodes) * wts
     q = null.quantile_fn(nodes)
     # each node belongs to the sample slot whose constancy interval contains it

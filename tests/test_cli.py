@@ -1,12 +1,16 @@
 """Tests for CSV ingestion, specifier parsing, subcommands, and manifests."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from wshift import cli
 from wshift.cli import (
@@ -395,3 +399,60 @@ def test_readme_command_lines_parse():
     assert {argv[1] for argv in commands} == set(handlers)
     for argv in commands:
         parser.parse_args(argv[1:])  # a bad option exits with SystemExit
+
+
+# Runs in a fresh interpreter: imports the CLI, builds every parser, reports
+# the heavy modules loaded by then, then builds the first Gaussian law.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+from wshift import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["--version"])]
+    commands = sorted(cli._build_parser()[1])
+    codes += [cli.main([cmd, "--help"]) for cmd in commands]
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
+from wshift.distributions import gaussian
+g = gaussian(0.0, 1.0, -8.0, 8.0)
+u = np.array(json.loads(sys.argv[1]))
+x = np.array(json.loads(sys.argv[2]))
+print(json.dumps({"codes": codes, "commands": commands, "loaded": loaded,
+                  "quantile": g.quantile_fn(u).tolist(), "cdf": g.cdf_fn(x).tolist(),
+                  "density": g.density_fn(x).tolist()}))
+"""
+_U = [0.0, 1e-300, 1e-12, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0 - 1e-12, 1.0]
+_X = [-9.0, -8.0, -7.999, -1.5, 0.0, 0.3, 2.0, 7.999, 8.0, 9.0]
+
+
+@pytest.fixture(scope="module")
+def fresh_startup():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(_U), json.dumps(_X)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+class TestStartup:
+    """The CLI loads scipy and numpy.polynomial only when a command needs them."""
+
+    def test_help_and_version_load_neither(self, fresh_startup):
+        assert fresh_startup["codes"] == [0] * 8
+        assert len(fresh_startup["commands"]) == 7
+        assert fresh_startup["loaded"] == []
+
+    def test_first_gaussian_is_scipy_bit_for_bit(self, fresh_startup):
+        m, s, lo, hi = 0.0, 1.0, -8.0, 8.0
+        u, x = np.array(_U), np.array(_X)
+        flo, fhi = float(ndtr(np.asarray(lo))), float(ndtr(np.asarray(hi)))
+        z = fhi - flo
+        quantile = np.clip(m + s * ndtri(flo + u * z), lo, hi)
+        cdf = np.clip((ndtr((np.clip(x, lo, hi) - m) / s) - flo) / z, 0.0, 1.0)
+        density = np.where((x >= lo) & (x <= hi),
+                           np.exp(-0.5 * ((x - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi)) / z,
+                           0.0)
+        assert np.array_equal(fresh_startup["quantile"], quantile)
+        assert np.array_equal(fresh_startup["cdf"], cdf)
+        assert np.array_equal(fresh_startup["density"], density)

@@ -168,6 +168,18 @@ class TestChunkStreams:
         for a, b in zip(sample_psi_components(s, short), sample_psi_components(s, long)):
             assert np.array_equal(a, b[:short])
 
+    @pytest.mark.parametrize("k", [16384, 32768])
+    def test_one_row_chunk_is_a_prefix_at_large_grids(self, k):
+        # a lone row of 16383 or more values is where einsum's summation order
+        # used to change; the short run ends in a one-row chunk
+        rows = _CHUNK_SCALARS // k
+        s = make_sampler(signal=sine_distribution(0.8), omega=quadratic_weight(2.0),
+                         k=k, seed=5)
+        short, long = rows + 1, 2 * rows
+        assert np.array_equal(sample_psi_null(s, short), sample_psi_null(s, long)[:short])
+        for a, b in zip(sample_psi_components(s, short), sample_psi_components(s, long)):
+            assert np.array_equal(a, b[:short])
+
     def test_single_chunk_starts_no_pool(self, monkeypatch, pools):
         s = make_sampler(k=self.K, seed=53)
         monkeypatch.setattr(wshift.limitlaw, "_available_cpus", lambda: 8)
