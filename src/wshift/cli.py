@@ -27,8 +27,8 @@ Conventions
   ``--law-reps``) and defaulting to the field's default. ``phase --q`` is
   the one hand-written experiment option (the signal specifier; by default
   the config's own signal). ``critval``, ``test`` and ``power-resample``
-  take their ``--reps``/``--grid-k`` defaults from ``LimitLawCritical``,
-  ``TabulatedCritical`` and ``ResamplingCritical``.
+  take their ``--reps``/``--grid-k`` defaults from their critical source's
+  class (``test``: the chosen source's).
 * Every output directory gets a ``manifest.json`` with the exact command,
   resolved configuration, seed, input digests, and output names; outputs
   are written atomically (write-then-rename) and contain no timestamps, so
@@ -502,17 +502,18 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     source_name = opts_values["critical_source"]
     if source_name == "auto":
         source_name = "resampling" if isinstance(null, EmpiricalDistribution) else "limitlaw"
+    # --reps and --grid-k override the chosen source's own defaults
+    reps, grid_k = opts_values["reps"], opts_values["grid_k"]
+    given = lambda **kw: {k: v for k, v in kw.items() if v is not None}
     if source_name == "tabulated":
         if opts_values["tabulated_value"] is None:
             raise ParameterError("tabulated critical source requires --tabulated-value")
         source = TabulatedCritical(opts_values["tabulated_value"],
-                                   reference_reps=opts_values["reps"],
-                                   grid_k=opts_values["grid_k"])
+                                   **given(reference_reps=reps, grid_k=grid_k))
     elif source_name == "limitlaw":
-        source = LimitLawCritical(reps=opts_values["reps"], grid_k=opts_values["grid_k"])
+        source = LimitLawCritical(**given(reps=reps, grid_k=grid_k))
     elif source_name == "resampling":
-        source = ResamplingCritical(reps=opts_values["reps"],
-                                    replace=opts_values["replace"])
+        source = ResamplingCritical(**given(reps=reps), replace=opts_values["replace"])
     else:
         raise ParameterError(f"unknown critical source {source_name!r}")
 
@@ -687,8 +688,9 @@ def _build_parser():
         o.add("--trim", float, 0.0, "trim the weight to [trim, 1 - trim]")
 
     def conf_test(o: _Options):
-        _common_options(o, reps=TabulatedCritical.reference_reps,
-                        grid_k=TabulatedCritical.grid_k)
+        _common_options(o)
+        o.add("--reps", int, None, "Monte Carlo repetitions [default: per critical source]")
+        o.add("--grid-k", int, None, "bridge grid size [default: per critical source]")
         o.add("--null", str, "uniform01", "null distribution specifier")
         o.add("--data", str, None, "CSV file with the sample")
         o.add("--column", str, "value", "value column in --data")

@@ -26,6 +26,8 @@ Conventions
 * All distribution objects are immutable and safe to share across threads.
   Sampling takes an explicit seed (or Generator), so parallel callers own
   independent streams.
+* Monte Carlo blocks hold ``_BLOCK_SCALARS`` = 2^20 values, here and in the
+  limit law's bridge chunks; every draw continues its stream across blocks.
 * :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is first
   called; it is the only scipy use, so importing the package, and every
   command that builds no Gaussian law, never loads scipy.
@@ -63,7 +65,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Offset and cap keeping inverse-transform uniforms strictly inside (0, 1).
 _U_EPS = 2.0 ** -54
 _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
-_BLOCK_SCALARS = 8_000_000  # sample values held in memory per block of sorted rows
+# Values per block of Monte Carlo work (8 MB): sorted-sample blocks here and the
+# limit-law bridge chunks, so it also fixes the chunk streams ("bridge-paths", i).
+_BLOCK_SCALARS = 1 << 20
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -98,10 +102,6 @@ class AnalyticDistribution:
     quantile_breakpoints: tuple[float, ...] = ()
     quantile_is_identity: bool = False
     sampler_fn: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
-
-    @property
-    def has_density(self) -> bool:
-        return self.density_fn is not None
 
     def cdf(self, x):
         scalar = np.isscalar(x)
@@ -538,10 +538,10 @@ def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generat
                    replace: bool = True) -> Iterator[np.ndarray]:
     """``reps`` sorted samples of size ``n`` from ``dist``, in memory-bounded blocks.
 
-    Each block is a matrix whose rows are the samples. Laws are drawn by
-    inverse transform, the rows of a block from one stretch of the uniform
-    stream; a data sample is resampled by index instead, with replacement
-    or (one row at a time) without.
+    A block holds at most ``_BLOCK_SCALARS`` values (one row if n is larger).
+    Laws are drawn by inverse transform, a data sample is resampled by index,
+    with replacement or (one row at a time) without; each draw continues the
+    stream, so the rows do not depend on the block size.
     """
     resample = isinstance(dist, EmpiricalDistribution)
     if resample and not replace and n > dist.n:

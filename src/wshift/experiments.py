@@ -239,7 +239,6 @@ class PhaseConfig:
     n: int = 100_000
     betas: tuple[float, ...] = (0.2, 0.35, 0.5, 0.65, 0.8)
     trials: int = 200
-    alpha: float = 0.05
     critical: float = 0.46136
     omega: WeightMeasure = field(default_factory=lebesgue)
     seed: int = 0
@@ -293,7 +292,6 @@ class PowerMapConfig:
     gammas: tuple[float, ...] = (3.5, 5.5, 7.5, 9.5, 11.75)
     n: int = 100_000
     trials: int = 200
-    alpha: float = 0.05
     critical: float = 0.46136
     seed: int = 0
     law_reps: int = 50_000
@@ -311,7 +309,7 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     """Empirical Type II errors next to the boundary-law prediction.
 
     Includes a null-calibration cell at axes (0, 0) whose ``type1`` value
-    should sit in the binomial band around alpha.
+    should sit in the binomial band around the level of ``critical``.
     """
     null = uniform01()
     omega = lebesgue()
@@ -354,7 +352,6 @@ class ComparisonConfig:
     gammas: tuple[float, ...] = (4.0, 7.0, 10.0)
     n: int = 100_000
     trials: int = 200
-    alpha: float = 0.05
     critical: float = 0.46136
     ks_critical: float = 1.36
     seed: int = 0

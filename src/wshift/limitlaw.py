@@ -21,15 +21,15 @@ density is rejected when the sampler is built, and a density at quantile
 below 1e-8 inside the weight window raises :class:`SingularDensityError`;
 :func:`case_ii_variance` goes through the same two checks.
 
-Bridges are drawn in chunks of 2^20 / K rows (2^20 normals; the last
-chunk may be shorter). Chunk ``i`` draws from its own stream, labelled
+Bridges are drawn in chunks of 2^20 / K rows (``_BLOCK_SCALARS`` normals;
+the last chunk may be shorter). Chunk ``i`` draws from its own stream, labelled
 ("bridge-paths", i) under the sampler's seed, and the chunks run on a
 thread pool of up to eight workers (one per CPU the process may use), or
 inline when there is one worker or one chunk. The chunks are joined in
 order, so the draws depend only on (seed, K, reps), never on the number of
 workers, and the draws for ``reps`` are a prefix of the draws for any
-larger ``reps``, at every K: a row's contraction is rounded the same way
-whether its chunk holds one row or many.
+larger ``reps``, at every K: ``transport._row_dots`` rounds a row the same
+way whether its chunk holds one row or many.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from typing import Optional
 import numpy as np
 
 from ._seeds import derive_rng, derive_seed
-from .distributions import Distribution
+from .distributions import Distribution, _BLOCK_SCALARS
 from .errors import ParameterError, SingularDensityError
-from .transport import WeightMeasure, lebesgue, w2_weighted_squared
+from .transport import WeightMeasure, _row_dots, lebesgue, w2_weighted_squared
 
 __all__ = [
     "BridgeGrid",
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 _DENSITY_FLOOR = 1e-8
-_CHUNK_SCALARS = 1 << 20  # normals per chunk: 8 MB per (rows, K) array
 _MAX_WORKERS = 8
 
 
@@ -174,24 +173,13 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``b @ c`` rounded the same way for a row whatever the number of rows in ``b``."""
-    # einsum, not BLAS gemv: gemv rounds a row differently with the number of
-    # rows and of BLAS threads (which follows the CPU count). einsum sums a lone
-    # row of 16383 or more values in another order than the same row inside a
-    # block, so a one-row chunk is contracted as two copies of itself.
-    if b.shape[0] == 1:
-        return np.einsum("ij,j->i", np.repeat(b, 2, axis=0), c)[:1]
-    return np.einsum("ij,j->i", b, c)
-
-
 def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
     """(quad, cross) per chunk of bridge rows, in chunk order."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     c_quad, c_cross = _node_coefficients(sampler, need_cross)
     k, reps = sampler.grid.k, int(reps)
-    rows = max(1, _CHUNK_SCALARS // k)
+    rows = max(1, _BLOCK_SCALARS // k)
     chunks = -(-reps // rows)
 
     def chunk(i: int):

@@ -20,7 +20,8 @@ every null: per-sample-slot moments of the null quantile (see
 over the slot edges joined with the null's breakpoints, so an empirical
 null's piecewise-constant quantile is integrated exactly under a polynomial
 weight. Only the uniform null under a polynomial weight takes closed-form
-antiderivatives instead.
+antiderivatives instead. ``_row_dots`` contracts the rows, here and in the
+limit law's bridge chunks, rounding each alike in any block on any core count.
 
 The module also provides the monotone transport map, displacement and
 linear (mixture) interpolation between two laws, total-variation distance
@@ -104,10 +105,6 @@ class WeightMeasure:
         lo, hi = self.window
         inside = (uu >= lo) & (uu <= hi)
         return np.where(inside, self.density_fn(uu), 0.0)
-
-    def with_trim(self, trim: float) -> "WeightMeasure":
-        return WeightMeasure(self.tag, self.density_fn, self.poly,
-                             self.total_mass, float(trim), self.a)
 
     def describe(self) -> dict:
         d = {"tag": self.tag, "trim": self.trim}
@@ -636,10 +633,21 @@ def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
     return _plan_by_quadrature(null, omega, n)
 
 
+def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``b @ c`` rounded the same way for a row whatever the number of rows in ``b``."""
+    # einsum, not BLAS gemv: gemv rounds a row differently with the number of
+    # rows and of BLAS threads (which follows the CPU count). einsum sums a lone
+    # row of 16383 or more values in another order than the same row inside a
+    # block, so a one-row matrix is contracted as two copies of itself.
+    if b.shape[0] == 1:
+        return np.einsum("ij,j->i", np.repeat(b, 2, axis=0), c)[:1]
+    return np.einsum("ij,j->i", b, c)
+
+
 def scaled_statistics(sorted_samples: np.ndarray, plan: StatisticPlan) -> np.ndarray:
     """``n * W2^2(sample_row, null)`` for each row of a sorted-sample matrix."""
     x = np.atleast_2d(np.asarray(sorted_samples, dtype=float))
     if x.shape[1] != plan.n:
         raise ParameterError(f"plan built for n={plan.n}, got rows of size {x.shape[1]}")
-    quad = (x * x) @ plan.m0 - 2.0 * (x @ plan.m1) + plan.m2_total
+    quad = _row_dots(x * x, plan.m0) - 2.0 * _row_dots(x, plan.m1) + plan.m2_total
     return plan.n * quad

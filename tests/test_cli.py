@@ -23,6 +23,7 @@ from wshift.cli import (
 from wshift.distributions import EmpiricalDistribution, sample, uniform01
 from wshift.errors import DataFormatError, ParameterError
 from wshift.experiments import ComparisonConfig, PhaseConfig, PowerMapConfig, _config_echo
+from wshift.hypotest import LimitLawCritical, ResamplingCritical, TabulatedCritical, TestOutcome
 
 
 def write_sample_csv(path, values, column="value"):
@@ -165,6 +166,33 @@ class TestTestCommand:
     def test_missing_data_flag(self, capsys):
         assert main(["test", "--null", "uniform01"]) == 1
         assert "--data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("null, argv, want", [
+        ("uniform01", [], LimitLawCritical()),
+        ("csv", [], ResamplingCritical()),
+        ("uniform01", ["--critical-source", "tabulated", "--tabulated-value", "0.46136"],
+         TabulatedCritical(0.46136)),
+        ("uniform01", ["--critical-source", "limitlaw"], LimitLawCritical()),
+        ("csv", ["--critical-source", "resampling"], ResamplingCritical()),
+        ("uniform01", ["--critical-source", "tabulated", "--tabulated-value", "0.5",
+                       "--reps", "300", "--grid-k", "128"], TabulatedCritical(0.5, 300, 128)),
+        ("csv", ["--reps", "300", "--replace", "false"], ResamplingCritical(300, False)),
+    ], ids=["auto-law", "auto-csv", "tabulated", "limitlaw", "resampling",
+            "tabulated-flags", "resampling-flags"])
+    def test_source_defaults_are_the_source_class_defaults(self, tmp_path, monkeypatch,
+                                                          null, argv, want):
+        seen = []
+
+        def fake_run_test(samples, config, seed=0):  # records the config, simulates nothing
+            seen.append(config)
+            return TestOutcome(0.0, 1.0, False, 1.0, samples.n, {})
+
+        monkeypatch.setattr(cli, "run_test", fake_run_test)
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        if null == "csv":
+            null = f"csv:{data}:value"
+        assert main(["test", "--null", null, "--data", str(data), *argv]) == 0
+        assert [config.critical_source for config in seen] == [want]
 
 
 class TestConfigPrecedence:
@@ -378,12 +406,18 @@ class TestDerivedOptions:
         assert flags - {"-h", "--help"} == primitive | extra
 
     def test_converters_follow_the_default_types(self):
-        _, values = _resolve("phase", ["--n", "2000", "--betas", "0.3,0.7", "--alpha", "0.1",
+        _, values = _resolve("phase", ["--n", "2000", "--betas", "0.3,0.7", "--critical", "0.5",
                                        "--q", "sine:0.5"])
         cfg = cli._experiment_config(PhaseConfig, values)
-        assert (cfg.n, cfg.betas, cfg.alpha, cfg.signal.name) == (2000, (0.3, 0.7), 0.1,
-                                                                  "sine(0.5)")
-        assert type(cfg.n) is int
+        assert (cfg.n, cfg.betas, cfg.critical, cfg.signal.name) == (2000, (0.3, 0.7), 0.5,
+                                                                     "sine(0.5)")
+        assert type(cfg.n) is int and type(cfg.critical) is float
+
+    @pytest.mark.parametrize("command", ["phase", "powermap", "compare-ks"])
+    def test_experiments_have_no_alpha(self, command, capsys):
+        # every cell rejects at --critical, so a level option would do nothing
+        assert main([command, "--alpha", "0.1"]) == 2
+        assert "--alpha" in capsys.readouterr().err
 
     def test_interpolate_has_no_alpha(self, capsys):
         assert main(["interpolate", "--alpha", "0.05"]) == 2

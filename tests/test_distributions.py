@@ -301,6 +301,18 @@ class TestSortedBlocks:
         assert rows.shape == (23, 7)
         assert set(np.unique(rows)) <= {0.5, 1.5, 4.0}
 
+    @pytest.mark.parametrize("budget", [7, 20, 50])
+    def test_resampled_rows_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        # 1, 2 and 7 rows of n = 7 per block: blocks of 7, 14 and 49 indices
+        base = EmpiricalDistribution(np.arange(40.0) ** 2)
+
+        def rows():
+            return np.concatenate(list(_sorted_blocks(base, 7, 23, np.random.default_rng(8))))
+
+        unblocked = rows()
+        monkeypatch.setattr(wshift.distributions, "_BLOCK_SCALARS", budget)
+        assert np.array_equal(rows(), unblocked)
+
     def test_resampling_without_replacement_yields_distinct_indices(self, small_budget):
         base = EmpiricalDistribution(np.arange(10.0))  # value k sits at index k
         rows = np.concatenate(list(_sorted_blocks(base, 7, 23, np.random.default_rng(5),
@@ -380,6 +392,6 @@ class TestTwoPoint:
 
     def test_no_density(self):
         d = two_point(0.0, 1.0)
-        assert not d.has_density
+        assert d.density_fn is None
         with pytest.raises(ParameterError):
             d.density(0.5)

@@ -11,6 +11,7 @@ import wshift.limitlaw
 from wshift.cli import main
 from wshift.distributions import (
     EmpiricalDistribution,
+    _BLOCK_SCALARS,
     affine,
     gaussian,
     sine_distribution,
@@ -23,7 +24,6 @@ from wshift.hypotest import LimitLawCritical, TabulatedCritical, TestConfig, run
 from wshift.limitlaw import (
     BridgeGrid,
     LimitLawSampler,
-    _CHUNK_SCALARS,
     _bridge_batch,
     _law_on_nodes,
     _null_quantile,
@@ -132,7 +132,7 @@ class TestChunkStreams:
     """Chunks have their own streams, so the draws do not depend on the worker count."""
 
     K = 4096
-    ROWS = _CHUNK_SCALARS // K  # bridge rows per chunk
+    ROWS = _BLOCK_SCALARS // K  # bridge rows per chunk
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -172,7 +172,7 @@ class TestChunkStreams:
     def test_one_row_chunk_is_a_prefix_at_large_grids(self, k):
         # a lone row of 16383 or more values is where einsum's summation order
         # used to change; the short run ends in a one-row chunk
-        rows = _CHUNK_SCALARS // k
+        rows = _BLOCK_SCALARS // k
         s = make_sampler(signal=sine_distribution(0.8), omega=quadratic_weight(2.0),
                          k=k, seed=5)
         short, long = rows + 1, 2 * rows

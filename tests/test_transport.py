@@ -389,6 +389,26 @@ class TestStatisticPlan:
             scaled_statistics(np.zeros((2, 9)), plan)
 
 
+class TestRowContraction:
+    """A row's statistic is bit-identical in every block it can be scored in."""
+
+    @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0)],
+                             ids=["lebesgue", "quadratic:2"])
+    @pytest.mark.parametrize("n", [500, 30_000, 100_000])
+    def test_rows_score_alike_in_any_block(self, n, omega):
+        # 30000 and 100000 are past the lone-row limit of einsum's summation order
+        x = np.sort(np.random.default_rng(n).random((7, n)), axis=1)
+        plan = plan_scaled_statistic(uniform01(), omega, n)
+        whole = scaled_statistics(x, plan)
+        for rows in (2, 3, 5):
+            for start in range(7 - rows + 1):
+                part = scaled_statistics(x[start:start + rows], plan)
+                assert np.array_equal(part, whole[start:start + rows])
+        for i in range(7):
+            assert np.array_equal(scaled_statistics(x[i], plan), whole[i:i + 1])
+            assert np.array_equal(scaled_statistics(x[i:i + 1].copy(), plan), whole[i:i + 1])
+
+
 # Values on a half-integer lattice give ties; free floats give distinct values.
 _VALUES = st.lists(st.one_of(st.integers(-6, 6).map(lambda k: 0.5 * k),
                              st.floats(-3.0, 3.0, allow_nan=False)),
