@@ -320,4 +320,4 @@ def case_ii_variance(null: Distribution, signal: Distribution,
     t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
     after = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)  # sum of t_j over j > i
     tu = t * u
-    return float(4.0 * (tu @ (t + 2.0 * after) - tu.sum() ** 2))
+    return float(4.0 * (_row_dots(tu[None, :], t + 2.0 * after)[0] - tu.sum() ** 2))

@@ -1,27 +1,31 @@
 """Weighted Wasserstein distances, weight measures, and interpolation paths.
 
-Distances between one-dimensional laws are integrals of quantile
-differences over the unit interval. The integrator partitions (0, 1) at
+Distances between one-dimensional laws are integrals of a function of their
+quantiles over the unit interval. The integrator partitions (0, 1) at
 every breakpoint of the integrand (empirical quantile jumps, piecewise
-boundaries of analytic quantiles, trim endpoints) and handles each segment
-with either a closed form or fixed-order Gauss-Legendre panels:
+boundaries of analytic quantiles, trim endpoints) and follows one of three
+rules:
 
-* polynomial weight density against piecewise-constant / identity
-  quantiles: exact antiderivative evaluation;
-* everything else: 8-node Gauss-Legendre on panels no wider than 1/32,
+* when every law is a data sample, each segment has constant quantiles and
+  gets one midpoint carrying its omega-mass (the antiderivative of a
+  polynomial weight density, one Gauss-Legendre panel of any other);
+* a statistic plan against the identity quantile under a polynomial weight
+  takes closed-form antiderivatives;
+* everything else takes 8-node Gauss-Legendre panels no wider than 1/32,
   with geometric refinement toward the window endpoints so that the mild
   endpoint singularities of bounded quantiles (e.g. truncated Gaussians)
   are integrated accurately. The nodes and weights are built on first use,
   so importing the module does not load ``numpy.polynomial``.
 
-The batched statistic ``n W2^2(sample, null)`` has one plan layout for
-every null: per-sample-slot moments of the null quantile (see
-:class:`StatisticPlan`). They come from the same Gauss-Legendre panels laid
-over the slot edges joined with the null's breakpoints, so an empirical
-null's piecewise-constant quantile is integrated exactly under a polynomial
-weight. Only the uniform null under a polynomial weight takes closed-form
-antiderivatives instead. ``_row_dots`` contracts the rows, here and in the
-limit law's bridge chunks, rounding each alike in any block on any core count.
+``_quadrature`` gives the points and weights of the first and third rules,
+for distances and plans alike. The batched statistic
+``n W2^2(sample, null)`` has one plan layout for every null: per-sample-slot
+moments of the null quantile (see :class:`StatisticPlan`), with the slot
+edges joined to the null's breakpoints, so an empirical null costs one
+point per segment. A single sample's statistic is the direct gap integral,
+not a plan score. Every sum of products (distances, segment masses,
+statistic rows and the limit law's bridge chunks) goes through
+``_row_dots``, which rounds each row alike in any block on any core count.
 
 The module also provides the monotone transport map, displacement and
 linear (mixture) interpolation between two laws, total-variation distance
@@ -139,7 +143,7 @@ def custom_weight(density: Callable, trim: float = 0.0, tag: str = "custom") -> 
     """Weight measure from an arbitrary nonnegative density on (0, 1)."""
     fn = lambda u: np.asarray(density(np.asarray(u, dtype=float)), dtype=float)
     nodes, wts = _panel_nodes(np.array([0.0, 1.0]), max_panel=1.0 / 64.0)
-    mass = float(np.dot(fn(nodes), wts))
+    mass = float(_row_dots(fn(nodes)[None, :], wts)[0])
     return WeightMeasure(tag, fn, None, mass, trim)
 
 
@@ -243,42 +247,49 @@ def _segment_edges(omega: WeightMeasure, *dists: Distribution) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
+def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``b @ c`` rounded the same way for a row whatever the number of rows in ``b``."""
+    # einsum, not BLAS gemv: gemv rounds a row differently with the number of
+    # rows and of BLAS threads (which follows the CPU count). einsum sums a lone
+    # row of 16383 or more values in another order than the same row inside a
+    # block, so a one-row matrix is contracted as two copies of itself.
+    if b.shape[0] == 1:
+        return np.einsum("ij,j->i", np.repeat(b, 2, axis=0), c)[:1]
+    return np.einsum("ij,j->i", b, c)
+
+
+def _quadrature(edges: np.ndarray, omega: WeightMeasure, *laws: Distribution,
+                max_panel: float = _DEFAULT_MAX_PANEL) -> tuple[np.ndarray, np.ndarray]:
+    """Points and omega-weights integrating a function of the laws' quantiles over ``edges``.
+
+    ``edges`` must hold every quantile breakpoint of the laws. A data sample's
+    quantile is constant between them, so when every law is one, each segment
+    gets its midpoint and its omega-mass (exact for a polynomial density);
+    otherwise the points are Gauss-Legendre panel nodes.
+    """
+    if not all(isinstance(d, EmpiricalDistribution) for d in laws):
+        nodes, wts = _panel_nodes(edges, max_panel)
+        return nodes, omega.density_fn(nodes) * wts
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    if omega.poly is not None:
+        return mids, np.diff(_polyval(_moment_antiderivative(omega.poly, 0), edges))
+    half = 0.5 * np.diff(edges)
+    gl_x, gl_w = _gauss_legendre()
+    nodes = edges[:-1, None] + half[:, None] * (gl_x + 1.0)[None, :]
+    vals = omega.density_fn(nodes.ravel()).reshape(nodes.shape)
+    return mids, _row_dots(vals, gl_w) * half
+
+
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
 
 def _gap_power_integral(mu: Distribution, nu: Distribution, omega: WeightMeasure,
                         power: float) -> float:
-    edges = _segment_edges(omega, mu, nu)
-    nodes, wts = _panel_nodes(edges)
-    gap = mu.quantile_fn(nodes) - nu.quantile_fn(nodes)
-    if power == 2.0:
-        integrand = gap * gap
-    else:
-        integrand = np.abs(gap) ** power
-    return float(np.dot(integrand * omega.density_fn(nodes), wts))
-
-
-def _emp_emp_sq(mu: EmpiricalDistribution, nu: EmpiricalDistribution,
-                omega: WeightMeasure) -> float:
-    edges = _segment_edges(omega, mu, nu)
-    masses = _segment_masses(edges, omega)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    gap = mu.quantile(mids) - nu.quantile(mids)
-    return float(np.dot(gap * gap, masses))
-
-
-def _segment_masses(edges: np.ndarray, omega: WeightMeasure) -> np.ndarray:
-    """Omega-mass of each consecutive segment (exact for polynomial densities)."""
-    if omega.poly is not None:
-        anti = _moment_antiderivative(omega.poly, 0)
-        return np.diff(_polyval(anti, edges))
-    lefts = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    gl_x, gl_w = _gauss_legendre()
-    nodes = lefts[:, None] + half[:, None] * (gl_x + 1.0)[None, :]
-    vals = omega.density_fn(nodes.ravel()).reshape(nodes.shape)
-    return (vals @ gl_w) * half
+    points, weights = _quadrature(_segment_edges(omega, mu, nu), omega, mu, nu)
+    gap = mu.quantile_fn(points) - nu.quantile_fn(points)
+    integrand = gap * gap if power == 2.0 else np.abs(gap) ** power
+    return float(_row_dots(integrand[None, :], weights)[0])
 
 
 def w2_weighted_squared(mu: Distribution, nu: Distribution,
@@ -287,14 +298,6 @@ def w2_weighted_squared(mu: Distribution, nu: Distribution,
     omega = omega if omega is not None else lebesgue()
     _check_integrable(mu, omega)
     _check_integrable(nu, omega)
-    if isinstance(mu, EmpiricalDistribution) and isinstance(nu, EmpiricalDistribution):
-        return _emp_emp_sq(mu, nu, omega)
-    if isinstance(nu, EmpiricalDistribution):  # keep the empirical side first
-        mu, nu = nu, mu
-    if (isinstance(mu, EmpiricalDistribution) and nu.quantile_is_identity
-            and omega.poly is not None):
-        plan = plan_scaled_statistic(nu, omega, mu.n)
-        return float(scaled_statistics(mu.values[None, :], plan)[0]) / mu.n
     return _gap_power_integral(mu, nu, omega, 2.0)
 
 
@@ -592,56 +595,29 @@ class StatisticPlan:
     m2_total: float
 
 
-def _plan_identity_poly(omega: WeightMeasure, n: int) -> StatisticPlan:
-    lo, hi = omega.window
-    grid = np.clip(np.arange(n + 1) / n, lo, hi)
-    a0 = _moment_antiderivative(omega.poly, 0)
-    a1 = _moment_antiderivative(omega.poly, 1)
-    a2 = _moment_antiderivative(omega.poly, 2)
-    m0 = np.diff(_polyval(a0, grid))
-    m1 = np.diff(_polyval(a1, grid))
-    m2 = np.diff(_polyval(a2, grid))
-    return StatisticPlan(n, m0, m1, float(m2.sum()))
-
-
-def _plan_by_quadrature(null: Distribution, omega: WeightMeasure,
-                        n: int) -> StatisticPlan:
-    lo, hi = omega.window
-    grid = np.clip(np.arange(n + 1) / n, lo, hi)
-    # the null's breakpoints (an empirical null's jumps included) split the
-    # slots, so every panel sees a smooth null quantile
-    edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
-    nodes, wts = _panel_nodes(edges, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
-    w = omega.density_fn(nodes) * wts
-    q = null.quantile_fn(nodes)
-    # each node belongs to the sample slot whose constancy interval contains it
-    slot = np.minimum(np.searchsorted(grid[1:-1], nodes, side="left"), n - 1)
-    m0 = np.bincount(slot, weights=w, minlength=n)
-    m1 = np.bincount(slot, weights=w * q, minlength=n)
-    m2 = np.bincount(slot, weights=w * q * q, minlength=n)
-    return StatisticPlan(n, m0, m1, float(m2.sum()))
-
-
 def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
                           n: int) -> StatisticPlan:
     """Build the reusable per-slot moment plan for samples of size ``n``."""
     if n < 1:
         raise ParameterError("sample size must be >= 1")
     _check_integrable(null, omega)
+    lo, hi = omega.window
+    grid = np.clip(np.arange(n + 1) / n, lo, hi)
     if null.quantile_is_identity and omega.poly is not None:
-        return _plan_identity_poly(omega, n)
-    return _plan_by_quadrature(null, omega, n)
-
-
-def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``b @ c`` rounded the same way for a row whatever the number of rows in ``b``."""
-    # einsum, not BLAS gemv: gemv rounds a row differently with the number of
-    # rows and of BLAS threads (which follows the CPU count). einsum sums a lone
-    # row of 16383 or more values in another order than the same row inside a
-    # block, so a one-row matrix is contracted as two copies of itself.
-    if b.shape[0] == 1:
-        return np.einsum("ij,j->i", np.repeat(b, 2, axis=0), c)[:1]
-    return np.einsum("ij,j->i", b, c)
+        m0, m1, m2 = (np.diff(_polyval(_moment_antiderivative(omega.poly, k), grid))
+                      for k in range(3))
+        return StatisticPlan(n, m0, m1, float(m2.sum()))
+    # the null's breakpoints (an empirical null's jumps included) split the
+    # slots, so every segment sees a smooth or constant null quantile
+    edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
+    points, w = _quadrature(edges, omega, null, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
+    q = null.quantile_fn(points)
+    # each point belongs to the sample slot whose constancy interval contains it
+    slot = np.minimum(np.searchsorted(grid[1:-1], points, side="left"), n - 1)
+    m0 = np.bincount(slot, weights=w, minlength=n)
+    m1 = np.bincount(slot, weights=w * q, minlength=n)
+    m2 = np.bincount(slot, weights=w * q * q, minlength=n)
+    return StatisticPlan(n, m0, m1, float(m2.sum()))
 
 
 def scaled_statistics(sorted_samples: np.ndarray, plan: StatisticPlan) -> np.ndarray:

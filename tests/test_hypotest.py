@@ -61,6 +61,17 @@ class TestWassersteinStatistic:
         got = wasserstein_statistic(EmpiricalDistribution(xs), uniform01())
         assert abs(got - 1.0 / 120.0) < 1e-12
 
+    def test_large_sample_is_the_exact_slot_integral(self):
+        # slot j contributes h ((x_j - m_j)^2 + h^2 / 12) around its midpoint m_j;
+        # a plan score loses digits to cancellation at this n, the gap integral does not
+        n = 100_000
+        x = np.sort(np.random.default_rng(3).random(n))
+        h = 1.0 / n
+        mids = (np.arange(n) + 0.5) * h
+        want = n * math.fsum(h * ((x - mids) ** 2 + h * h / 12.0))
+        got = wasserstein_statistic(EmpiricalDistribution(x), uniform01())
+        assert abs(got - want) <= 1e-12 * want
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         values = rng.random(50)

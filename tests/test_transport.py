@@ -1,6 +1,7 @@
 """Tests for weight measures, distances, and interpolation paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,8 +82,12 @@ class TestWeightedDistance:
         assert abs(got - want) <= 1e-6 * want
 
     def test_identical_zero(self):
-        for omega in (lebesgue(), quadratic_weight(2.0), lebesgue(trim=0.05)):
+        values = np.random.default_rng(8).normal(size=301)
+        emp, copy = EmpiricalDistribution(values), EmpiricalDistribution(values.copy())
+        for omega in (lebesgue(), quadratic_weight(2.0), lebesgue(trim=0.05),
+                      custom_weight(lambda u: 1.0 + u)):
             assert w2_weighted(uniform01(), uniform01(), omega) == 0.0
+            assert w2_weighted(emp, copy, omega) == 0.0
 
     def test_truncated_gaussian_pair(self):
         # closed-form Gaussian W2^2 = tau^2 + (sigma - 1)^2 = 2, up to truncation
@@ -102,10 +107,14 @@ class TestWeightedDistance:
         assert abs(got - want) < 1e-6 * max(1.0, want)
 
     def test_symmetry_exact(self):
-        a = sine_distribution(0.7)
-        b = tail_distribution(0.3)
-        for omega in (lebesgue(), quadratic_weight(2.0)):
-            assert w2_weighted(a, b, omega) == w2_weighted(b, a, omega)
+        rng = np.random.default_rng(9)
+        emp = EmpiricalDistribution(rng.random(37))
+        pairs = [(sine_distribution(0.7), tail_distribution(0.3)),
+                 (emp, uniform01()),
+                 (emp, EmpiricalDistribution(rng.random(23) * 2.0))]
+        for a, b in pairs:
+            for omega in (lebesgue(), quadratic_weight(2.0)):
+                assert w2_weighted(a, b, omega) == w2_weighted(b, a, omega)
 
     def test_triangle_inequality_random_triples(self):
         rng = np.random.default_rng(11)
@@ -382,6 +391,20 @@ class TestStatisticPlan:
         x = np.sort(rng.random((4, 100)), axis=1)
         plan = plan_scaled_statistic(uniform01(), lebesgue(), 100)
         assert np.array_equal(scaled_statistics(x, plan), scaled_statistics(x, plan))
+
+    @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0, trim=0.01)],
+                             ids=["lebesgue", "quadratic-trimmed"])
+    def test_large_empirical_null_memory(self, omega):
+        # a data null's quantile is constant between its jumps: one point per
+        # segment (eight Gauss-Legendre nodes per segment peaked near 370 MiB)
+        null = EmpiricalDistribution(np.random.default_rng(10).normal(size=1_000_000))
+        tracemalloc.start()
+        try:
+            plan_scaled_statistic(null, omega, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     def test_size_mismatch_rejected(self):
         plan = plan_scaled_statistic(uniform01(), lebesgue(), 10)
