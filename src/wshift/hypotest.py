@@ -79,11 +79,7 @@ def _warn_if_assumption_violated(null: Distribution, omega: WeightMeasure) -> No
 
 def wasserstein_statistic(samples: EmpiricalDistribution, null: Distribution,
                           omega: WeightMeasure | None = None) -> float:
-    """Scaled squared distance ``n * W2^2`` between the sample and the null.
-
-    Integrated directly over the gap, not scored with a statistic plan, whose
-    ``x^2 m0 - 2 x m1 + m2`` form loses digits to cancellation at large n.
-    """
+    """Scaled squared distance ``n * W2^2`` between the sample and the null."""
     omega = omega if omega is not None else lebesgue()
     _warn_if_assumption_violated(null, omega)
     return samples.n * w2_weighted_squared(samples, null, omega)

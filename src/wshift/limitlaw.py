@@ -46,7 +46,7 @@ import numpy as np
 from ._seeds import derive_rng, derive_seed
 from .distributions import Distribution, _BLOCK_SCALARS
 from .errors import ParameterError, SingularDensityError
-from .transport import WeightMeasure, _row_dots, lebesgue, w2_weighted_squared
+from .transport import WeightMeasure, _dot, _row_dots, lebesgue, w2_weighted_squared
 
 __all__ = [
     "BridgeGrid",
@@ -320,4 +320,4 @@ def case_ii_variance(null: Distribution, signal: Distribution,
     t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
     after = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)  # sum of t_j over j > i
     tu = t * u
-    return float(4.0 * (_row_dots(tu[None, :], t + 2.0 * after)[0] - tu.sum() ** 2))
+    return float(4.0 * (_dot(tu, t + 2.0 * after) - tu.sum() ** 2))

@@ -6,26 +6,24 @@ every breakpoint of the integrand (empirical quantile jumps, piecewise
 boundaries of analytic quantiles, trim endpoints) and follows one of three
 rules:
 
-* when every law is a data sample, each segment has constant quantiles and
-  gets one midpoint carrying its omega-mass (the antiderivative of a
-  polynomial weight density, one Gauss-Legendre panel of any other);
-* a statistic plan against the identity quantile under a polynomial weight
-  takes closed-form antiderivatives;
+* when every law is a data sample, each segment gets one midpoint carrying
+  its omega-mass (the antiderivative of a polynomial weight density, one
+  Gauss-Legendre panel of any other);
+* against the identity quantile under a polynomial weight, each sample slot
+  takes closed-form moments about its midpoint;
 * everything else takes 8-node Gauss-Legendre panels no wider than 1/32,
   with geometric refinement toward the window endpoints so that the mild
   endpoint singularities of bounded quantiles (e.g. truncated Gaussians)
   are integrated accurately. The nodes and weights are built on first use,
   so importing the module does not load ``numpy.polynomial``.
 
-``_quadrature`` gives the points and weights of the first and third rules,
-for distances and plans alike. The batched statistic
-``n W2^2(sample, null)`` has one plan layout for every null: per-sample-slot
-moments of the null quantile (see :class:`StatisticPlan`), with the slot
-edges joined to the null's breakpoints, so an empirical null costs one
-point per segment. A single sample's statistic is the direct gap integral,
-not a plan score. Every sum of products (distances, segment masses,
-statistic rows and the limit law's bridge chunks) goes through
-``_row_dots``, which rounds each row alike in any block on any core count.
+``_quadrature`` gives the points of the first and third rules. The batched
+statistic ``n W2^2(sample, null)`` has one plan layout for every null (see
+:class:`StatisticPlan`); a single sample is scored with it against the
+identity quantile under a polynomial weight, and other distances integrate
+the gap directly. Every sum of products is an einsum (``_dot``, or
+``_row_dots`` for blocks of rows), whose rounding does not follow the core
+count.
 
 The module also provides the monotone transport map, displacement and
 linear (mixture) interpolation between two laws, total-variation distance
@@ -143,16 +141,13 @@ def custom_weight(density: Callable, trim: float = 0.0, tag: str = "custom") -> 
     """Weight measure from an arbitrary nonnegative density on (0, 1)."""
     fn = lambda u: np.asarray(density(np.asarray(u, dtype=float)), dtype=float)
     nodes, wts = _panel_nodes(np.array([0.0, 1.0]), max_panel=1.0 / 64.0)
-    mass = float(_row_dots(fn(nodes)[None, :], wts)[0])
+    mass = _dot(fn(nodes), wts)
     return WeightMeasure(tag, fn, None, mass, trim)
 
 
-def _moment_antiderivative(poly: Sequence[float], k: int) -> np.ndarray:
-    """Coefficients of the antiderivative of ``u^k * density(u)``."""
-    c = np.zeros(len(poly) + k + 1)
-    for j, cj in enumerate(poly):
-        c[j + k + 1] = cj / (j + k + 1)
-    return c
+def _antiderivative(poly: Sequence[float]) -> np.ndarray:
+    """Coefficients of the antiderivative of a polynomial density."""
+    return np.concatenate(([0.0], np.asarray(poly, dtype=float) / np.arange(1, len(poly) + 1)))
 
 
 def _polyval(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -247,6 +242,11 @@ def _segment_edges(omega: WeightMeasure, *dists: Distribution) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
+def _dot(v: np.ndarray, w: np.ndarray) -> float:
+    """Sum of ``v * w`` by einsum, whose rounding, unlike BLAS ddot's, ignores the core count."""
+    return float(np.einsum("j,j->", v, w))
+
+
 def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``b @ c`` rounded the same way for a row whatever the number of rows in ``b``."""
     # einsum, not BLAS gemv: gemv rounds a row differently with the number of
@@ -272,7 +272,7 @@ def _quadrature(edges: np.ndarray, omega: WeightMeasure, *laws: Distribution,
         return nodes, omega.density_fn(nodes) * wts
     mids = 0.5 * (edges[:-1] + edges[1:])
     if omega.poly is not None:
-        return mids, np.diff(_polyval(_moment_antiderivative(omega.poly, 0), edges))
+        return mids, np.diff(_polyval(_antiderivative(omega.poly), edges))
     half = 0.5 * np.diff(edges)
     gl_x, gl_w = _gauss_legendre()
     nodes = edges[:-1, None] + half[:, None] * (gl_x + 1.0)[None, :]
@@ -289,7 +289,7 @@ def _gap_power_integral(mu: Distribution, nu: Distribution, omega: WeightMeasure
     points, weights = _quadrature(_segment_edges(omega, mu, nu), omega, mu, nu)
     gap = mu.quantile_fn(points) - nu.quantile_fn(points)
     integrand = gap * gap if power == 2.0 else np.abs(gap) ** power
-    return float(_row_dots(integrand[None, :], weights)[0])
+    return _dot(integrand, weights)
 
 
 def w2_weighted_squared(mu: Distribution, nu: Distribution,
@@ -298,6 +298,11 @@ def w2_weighted_squared(mu: Distribution, nu: Distribution,
     omega = omega if omega is not None else lebesgue()
     _check_integrable(mu, omega)
     _check_integrable(nu, omega)
+    sample, other = (mu, nu) if isinstance(mu, EmpiricalDistribution) else (nu, mu)
+    if (isinstance(sample, EmpiricalDistribution) and other.quantile_is_identity
+            and omega.poly is not None):  # the closed-form plan is O(n) and exact per slot
+        plan = plan_scaled_statistic(other, omega, sample.n)
+        return float(scaled_statistics(sample.values[None, :], plan)[0]) / sample.n
     return _gap_power_integral(mu, nu, omega, 2.0)
 
 
@@ -580,19 +585,31 @@ class StatisticPlan:
     """Precomputed per-slot moments for the statistic against a fixed null.
 
     A sorted sample ``x`` of size ``n`` has the empirical quantile ``x_j`` on
-    the slot ``(j/n, (j + 1)/n)``, ``j = 0, ..., n - 1``, so its squared
-    weighted distance to the null is
-    ``sum_j x_j^2 m0_j - 2 x_j m1_j + m2_total``. Here ``m0_j`` and ``m1_j``
-    are the omega-integrals of ``1`` and of the null quantile over slot
-    ``j``, and ``m2_total`` is the omega-integral of the squared null
-    quantile over the window. One layout serves every null; the plan is
-    reusable across any number of samples of the same size.
+    the slot ``(j/n, (j + 1)/n)``, so its squared weighted distance to the
+    null is ``sum_j m0_j (x_j - center_j)^2 + spread``: ``m0_j`` is the
+    omega-mass of slot ``j``, ``center_j`` the omega-mean of the null quantile
+    over it and ``spread`` the omega-integral of the squared gap between them.
+    No term is negative, so nothing cancels at large ``n``. One layout serves
+    every null and any number of samples of size ``n``.
     """
 
     n: int
     m0: np.ndarray
-    m1: np.ndarray
-    m2_total: float
+    center: np.ndarray
+    spread: float
+
+
+def _identity_slot_moments(poly: Sequence[float], mid: np.ndarray,
+                           r: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Omega-integrals of 1 and s per slot, and of s^2 in all, for s = u - mid over |s| < r."""
+    # term by term in the density's Taylor expansion at mid; odd powers of s integrate to 0
+    moments = [np.zeros_like(mid), np.zeros_like(mid), 0.0]
+    for k in range(len(poly)):
+        taylor = _polyval(np.array([math.comb(i, k) * c for i, c in enumerate(poly)][k:]), mid)
+        for p in range(k % 2, 3, 2):
+            term = taylor * r ** (p + k + 1) * (2.0 / (p + k + 1))
+            moments[p] += term if p < 2 else float(term.sum())
+    return tuple(moments)
 
 
 def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
@@ -603,21 +620,25 @@ def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
     _check_integrable(null, omega)
     lo, hi = omega.window
     grid = np.clip(np.arange(n + 1) / n, lo, hi)
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    # moments of the null quantile's deviation from its value at each slot's
+    # midpoint, so a slot where it is constant gets that value as its exact center
+    base = null.quantile_fn(mid)
     if null.quantile_is_identity and omega.poly is not None:
-        m0, m1, m2 = (np.diff(_polyval(_moment_antiderivative(omega.poly, k), grid))
-                      for k in range(3))
-        return StatisticPlan(n, m0, m1, float(m2.sum()))
-    # the null's breakpoints (an empirical null's jumps included) split the
-    # slots, so every segment sees a smooth or constant null quantile
-    edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
-    points, w = _quadrature(edges, omega, null, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
-    q = null.quantile_fn(points)
-    # each point belongs to the sample slot whose constancy interval contains it
-    slot = np.minimum(np.searchsorted(grid[1:-1], points, side="left"), n - 1)
-    m0 = np.bincount(slot, weights=w, minlength=n)
-    m1 = np.bincount(slot, weights=w * q, minlength=n)
-    m2 = np.bincount(slot, weights=w * q * q, minlength=n)
-    return StatisticPlan(n, m0, m1, float(m2.sum()))
+        m0, s1, s2 = _identity_slot_moments(omega.poly, mid, 0.5 * np.diff(grid))
+    else:
+        # the null's breakpoints (an empirical null's jumps included) split the
+        # slots, so every segment sees a smooth or constant null quantile
+        edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
+        points, w = _quadrature(edges, omega, null, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
+        # each point belongs to the sample slot whose constancy interval contains it
+        slot = np.minimum(np.searchsorted(grid[1:-1], points, side="left"), n - 1)
+        dev = null.quantile_fn(points) - base[slot]
+        m0 = np.bincount(slot, weights=w, minlength=n)
+        s1 = np.bincount(slot, weights=w * dev, minlength=n)
+        s2 = _dot(w * dev, dev)
+    shift = np.divide(s1, m0, out=s1, where=m0 > 0.0)  # the center's offset from base
+    return StatisticPlan(n, m0, base + shift, s2 - _dot(m0 * shift, shift))
 
 
 def scaled_statistics(sorted_samples: np.ndarray, plan: StatisticPlan) -> np.ndarray:
@@ -625,5 +646,6 @@ def scaled_statistics(sorted_samples: np.ndarray, plan: StatisticPlan) -> np.nda
     x = np.atleast_2d(np.asarray(sorted_samples, dtype=float))
     if x.shape[1] != plan.n:
         raise ParameterError(f"plan built for n={plan.n}, got rows of size {x.shape[1]}")
-    quad = _row_dots(x * x, plan.m0) - 2.0 * _row_dots(x, plan.m1) + plan.m2_total
-    return plan.n * quad
+    gap = x - plan.center
+    gap *= gap
+    return plan.n * (_row_dots(gap, plan.m0) + plan.spread)

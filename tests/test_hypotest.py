@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from wshift.transport import (
     lebesgue,
     linear_interpolate,
     plan_scaled_statistic,
+    quadratic_weight,
     scaled_statistics,
 )
 
@@ -63,7 +65,7 @@ class TestWassersteinStatistic:
 
     def test_large_sample_is_the_exact_slot_integral(self):
         # slot j contributes h ((x_j - m_j)^2 + h^2 / 12) around its midpoint m_j;
-        # a plan score loses digits to cancellation at this n, the gap integral does not
+        # an uncentred x^2 m0 - 2 x m1 + m2 sum loses digits to cancellation at this n
         n = 100_000
         x = np.sort(np.random.default_rng(3).random(n))
         h = 1.0 / n
@@ -71,6 +73,19 @@ class TestWassersteinStatistic:
         want = n * math.fsum(h * ((x - mids) ** 2 + h * h / 12.0))
         got = wasserstein_statistic(EmpiricalDistribution(x), uniform01())
         assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0)],
+                             ids=["lebesgue", "quadratic"])
+    def test_large_sample_against_uniform_memory(self, omega):
+        # O(n) closed form per slot (eight Gauss-Legendre nodes per slot peaked near 370 MiB)
+        data = EmpiricalDistribution(np.random.default_rng(4).random(1_000_000))
+        tracemalloc.start()
+        try:
+            wasserstein_statistic(data, uniform01(), omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)

@@ -470,4 +470,4 @@ class TestSinglePlanLayout:
     @pytest.mark.parametrize("n", [1, 3, 300])
     def test_one_moment_slot_per_observation(self, null, omega, n):
         plan = plan_scaled_statistic(null, omega, n)
-        assert plan.m0.shape == plan.m1.shape == (n,)
+        assert plan.m0.shape == plan.center.shape == (n,)
