@@ -134,6 +134,18 @@ def _column_index(fieldnames: list[str], column, path) -> int:
                               f"(have {fieldnames})") from None
 
 
+def _is_blank(row: list[str]) -> bool:
+    return all(not c.strip() for c in row)
+
+
+def _column_indices(row: list[str], value_column, label_column, header: bool,
+                    path) -> tuple[Optional[int], int]:
+    """``(label index or None, value index)`` named by the first non-blank row."""
+    names = [c.strip() for c in row] if header else row
+    l_idx = None if label_column is None else _column_index(names, label_column, path)
+    return l_idx, _column_index(names, value_column, path)
+
+
 def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ",",
                header: bool = True) -> Iterator[tuple[Optional[str], float]]:
     """Yield ``(label, value)`` for every data row; the label is None without a label column.
@@ -141,18 +153,17 @@ def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ","
     Values must parse as finite floats. Blank rows are skipped. Malformed
     rows are reported with their line numbers (all of them, up to ten, in
     one error raised after the last row) instead of failing on the first.
+    This reader defines what a valid file is: :func:`_load_columns` reads
+    valid files faster and hands every file its parser rejects to it.
     """
     bad_lines: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         v_idx = l_idx = None
         for line, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-            if not row or all(not c.strip() for c in row):
+            if _is_blank(row):
                 continue
             if v_idx is None:
-                names = [c.strip() for c in row] if header else row
-                if label_column is not None:
-                    l_idx = _column_index(names, label_column, path)
-                v_idx = _column_index(names, value_column, path)
+                l_idx, v_idx = _column_indices(row, value_column, label_column, header, path)
                 width = max(v_idx, l_idx or 0) + 1
                 if header:
                     continue
@@ -175,35 +186,84 @@ def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ","
         raise DataFormatError(f"{path}: {shown}{more}")
 
 
+def _load_columns(path: Path, value_column, label_column=None, delimiter: str = ",",
+                  header: bool = True) -> tuple[Optional[list[str]], np.ndarray]:
+    """``(labels, values)`` of the data rows that :func:`_read_rows` accepts.
+
+    The header is found as :func:`_read_rows` finds it; numpy's C parser then
+    reads the body in one call, with ``"`` as the quote and ``#`` as data.
+    Files it rejects (among them whitespace-only and ``,,`` rows, ``1_000``,
+    and every malformed row, which needs its line number), files with a
+    non-finite value and labels with a line break go through
+    :func:`_read_rows`. ``labels`` is None without a label column; a label
+    may keep its padding.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        first = next((row for row in reader if not _is_blank(row)), None)
+        lines_through_header = reader.line_num
+        has_rows = not header or any(not _is_blank(row) for row in reader)
+    # numpy needs the quote for itself, and warns on a file without rows
+    if first is not None and has_rows and delimiter != '"':
+        l_idx, v_idx = _column_indices(first, value_column, label_column, header, path)
+        try:
+            table = np.loadtxt(
+                path, dtype=float if l_idx is None else [("label", object), ("value", float)],
+                delimiter=delimiter, comments=None, quotechar='"', ndmin=1,
+                usecols=(v_idx,) if l_idx is None else (l_idx, v_idx),
+                skiprows=lines_through_header if header else 0, encoding="utf-8-sig")
+        except ValueError:
+            pass
+        else:
+            values = table if l_idx is None else table["value"]
+            labels = None if l_idx is None else table["label"].tolist()
+            # numpy reads "\r" and "\r\n" as "\n", inside a quoted label too
+            if np.isfinite(values).all() and (labels is None or "\n" not in "".join(labels)):
+                return labels, values
+    rows = list(_read_rows(path, value_column, label_column, delimiter, header))
+    labels = None if label_column is None else [label for label, _ in rows]
+    return labels, np.array([value for _, value in rows], dtype=float)
+
+
 def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
     """Parse a (period, value) table; every period needs >= 2 finite values.
 
-    Non-numeric values are reported with their line numbers (all of them,
-    up to ten, in one error) instead of failing on the first.
+    Periods keep the order in which they first appear. Malformed rows are
+    reported with their line numbers (all of them, up to ten, in one error)
+    instead of failing on the first.
     """
     schema = schema if schema is not None else CsvSchema()
     path = Path(path)
-    groups: dict[str, list[float]] = {}
-    for label, value in _read_rows(path, schema.value_column, schema.period_column,
-                                   schema.delimiter, schema.header):
-        groups.setdefault(label, []).append(value)
-    if not groups:
+    labels, values = _load_columns(path, schema.value_column, schema.period_column,
+                                   schema.delimiter, schema.header)
+    if values.size == 0:
         raise DataFormatError(f"{path}: no data rows")
-    for label, values in groups.items():
-        if len(values) < 2:
+    # number the periods in order of first appearance, one lookup per run of equal
+    # labels (a period's rows usually stand together); padded labels join the unpadded
+    labels = np.asarray(labels, dtype=object)
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    heads = labels[starts].tolist()
+    periods: dict[str, int] = {}
+    code = {raw: periods.setdefault(raw.strip(), len(periods)) for raw in dict.fromkeys(heads)}
+    codes = np.repeat(np.fromiter(map(code.__getitem__, heads), np.intp, len(heads)),
+                      np.diff(starts, append=labels.size))
+    groups = np.split(values[np.argsort(codes, kind="stable")],
+                      np.cumsum(np.bincount(codes))[:-1])
+    for label, group in zip(periods, groups):
+        if group.size < 2:
             raise DataFormatError(
-                f"{path}: period {label!r} has {len(values)} observation(s); need >= 2")
-    dists = {label: EmpiricalDistribution(values) for label, values in groups.items()}
-    return ObservationTable(tuple(groups), dists)
+                f"{path}: period {label!r} has {group.size} observation(s); need >= 2")
+    dists = {label: EmpiricalDistribution(group) for label, group in zip(periods, groups)}
+    return ObservationTable(tuple(periods), dists)
 
 
 def _read_value_column(path, column: str = "value") -> np.ndarray:
     """One numeric column from a headed CSV, with line-numbered error reporting."""
     path = Path(path)
-    values = [value for _, value in _read_rows(path, column)]
-    if not values:
+    _, values = _load_columns(path, column)
+    if values.size == 0:
         raise DataFormatError(f"{path}: no numeric rows in column {column!r}")
-    return np.asarray(values)
+    return values
 
 
 # ---------------------------------------------------------------------------

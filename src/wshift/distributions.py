@@ -5,10 +5,11 @@ sample: ``name``, the vectorized callables ``quantile_fn`` / ``cdf_fn`` /
 ``density_fn`` (``None`` when there is no density), ``support``,
 ``bounded_support``, ``quantile_breakpoints`` (points of (0, 1) where the
 quantile jumps or changes formula; the grid ``k/n`` for a sample),
-``quantile_is_identity`` and ``sampler_fn`` (``None`` unless the law
-samples other than by inverse transform). Distances, transport paths,
-statistics and limit laws read these fields and need not know which kind
-of law they hold. The public :meth:`quantile` / :meth:`cdf` methods add
+``quantile_is_identity``, ``quantile_is_step`` (the quantile is constant
+between its breakpoints, as a sample's is) and ``sampler_fn`` (``None``
+unless the law samples other than by inverse transform). Distances,
+transport paths, statistics and limit laws read these fields and need not
+know which kind of law they hold. The public :meth:`quantile` / :meth:`cdf` methods add
 domain validation and scalar passthrough on top of the callables.
 
 Analytic laws (:class:`AnalyticDistribution`) store the fields directly;
@@ -101,6 +102,7 @@ class AnalyticDistribution:
     compact_support_ok: bool
     quantile_breakpoints: tuple[float, ...] = ()
     quantile_is_identity: bool = False
+    quantile_is_step: bool = False
     sampler_fn: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
 
     def cdf(self, x):
@@ -138,6 +140,7 @@ class EmpiricalDistribution:
     density_fn = None
     bounded_support = True
     quantile_is_identity = False
+    quantile_is_step = True
     sampler_fn = None
 
     def __post_init__(self):
@@ -228,9 +231,12 @@ def tail_quantile(p: float, u):
     scalar = np.isscalar(u)
     uu = _as_float_array(u)
     amp = 0.45 * (2.0 * p / math.pi)
-    lower = uu + amp * np.cos(math.pi * uu / (2.0 * p))
-    upper = uu - amp * np.cos(math.pi * (1.0 - uu) / (2.0 * p))
-    out = np.where(uu <= p, lower, np.where(uu < 1.0 - p, uu, upper))
+    out = uu.copy()
+    lower = uu <= p
+    upper = ~lower & ~(uu < 1.0 - p)  # the tails hold a fraction 2p of the points
+    ul, uh = uu[lower], uu[upper]
+    out[lower] = ul + amp * np.cos(math.pi * ul / (2.0 * p))
+    out[upper] = uh - amp * np.cos(math.pi * (1.0 - uh) / (2.0 * p))
     return _scalar_or_array(out, scalar)
 
 

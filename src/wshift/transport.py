@@ -6,7 +6,8 @@ every breakpoint of the integrand (empirical quantile jumps, piecewise
 boundaries of analytic quantiles, trim endpoints) and follows one of three
 rules:
 
-* when every law is a data sample, each segment gets one midpoint carrying
+* when every law's quantile is a step function (a data sample, or the
+  displacement between two), each segment gets one midpoint carrying
   its omega-mass (the antiderivative of a polynomial weight density, one
   Gauss-Legendre panel of any other);
 * against the identity quantile under a polynomial weight, each sample slot
@@ -262,12 +263,13 @@ def _quadrature(edges: np.ndarray, omega: WeightMeasure, *laws: Distribution,
                 max_panel: float = _DEFAULT_MAX_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Points and omega-weights integrating a function of the laws' quantiles over ``edges``.
 
-    ``edges`` must hold every quantile breakpoint of the laws. A data sample's
-    quantile is constant between them, so when every law is one, each segment
-    gets its midpoint and its omega-mass (exact for a polynomial density);
-    otherwise the points are Gauss-Legendre panel nodes.
+    ``edges`` must hold every quantile breakpoint of the laws. When every
+    law's quantile is constant between them (a data sample, or the
+    displacement between two), each segment gets its midpoint and its
+    omega-mass (exact for a polynomial density); otherwise the points are
+    Gauss-Legendre panel nodes.
     """
-    if not all(isinstance(d, EmpiricalDistribution) for d in laws):
+    if not all(d.quantile_is_step for d in laws):
         nodes, wts = _panel_nodes(edges, max_panel)
         return nodes, omega.density_fn(nodes) * wts
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -491,6 +493,7 @@ def displacement_interpolate(source: Distribution, target: Distribution,
         bounded_support=source.bounded_support and target.bounded_support,
         compact_support_ok=False,
         quantile_breakpoints=tuple(bks),
+        quantile_is_step=source.quantile_is_step and target.quantile_is_step,
     )
 
 

@@ -218,6 +218,18 @@ class TestTailQuantile:
             with pytest.raises(ParameterError):
                 tail_quantile(bad, 0.5)
 
+    @pytest.mark.parametrize("p", [0.025, 0.3, 0.5])
+    def test_bits_of_the_piecewise_formula(self, p):
+        # each tail is evaluated on its own points only, with the same expressions
+        u = np.random.default_rng(3).random((40, 250))
+        u[0, :4] = (0.0, p, 1.0 - p, 1.0)
+        amp = 0.45 * (2.0 * p / math.pi)
+        lower = u + amp * np.cos(math.pi * u / (2.0 * p))
+        upper = u - amp * np.cos(math.pi * (1.0 - u) / (2.0 * p))
+        want = np.where(u <= p, lower, np.where(u < 1.0 - p, u, upper))
+        assert tail_quantile(p, u).tobytes() == want.tobytes()
+        assert tail_quantile(p, float(u[1, 1])) == float(want[1, 1])
+
     @pytest.mark.parametrize("p", [0.025, 0.1, 0.3, 0.5])
     def test_strictly_increasing_on_grid(self, p):
         u = np.linspace(0.0, 1.0, 10_000)

@@ -22,6 +22,8 @@ from wshift.distributions import (
 from wshift.errors import ParameterError, UnboundedSupportError
 from wshift.transport import (
     Histogram,
+    _quadrature,
+    _segment_edges,
     custom_weight,
     displacement_interpolate,
     lebesgue,
@@ -248,6 +250,24 @@ class TestDisplacementInterpolation:
     def test_parameter_validated(self):
         with pytest.raises(ParameterError):
             displacement_interpolate(uniform01(), uniform01(), 1.5)
+
+    def test_between_samples_is_a_step_law(self):
+        # its quantile is constant between the union of the two jump grids, so a
+        # distance to it takes one midpoint per segment, as between two samples
+        rng = np.random.default_rng(9)
+        a = EmpiricalDistribution(rng.normal(0.0, 1.0, 700))
+        b = EmpiricalDistribution(rng.normal(0.5, 1.5, 300))
+        assert a.quantile_is_step and not uniform01().quantile_is_step
+        assert not displacement_interpolate(a, uniform01(), 0.5).quantile_is_step
+        total = w2_weighted(a, b)
+        for t in (0.1, 0.5, 0.9):
+            mid = displacement_interpolate(a, b, t)
+            assert mid.quantile_is_step
+            edges = _segment_edges(lebesgue(), a, mid)
+            points, weights = _quadrature(edges, lebesgue(), a, mid)
+            assert points.size == edges.size - 1
+            assert math.isclose(weights.sum(), 1.0, rel_tol=1e-14)
+            assert math.isclose(w2_weighted(a, mid), t * total, rel_tol=1e-14)
 
     def test_discrete_target_splits_support(self):
         # moving the uniform toward a two-point law opens a gap around 1/2:
