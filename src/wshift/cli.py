@@ -195,8 +195,8 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
     Files it rejects (among them whitespace-only and ``,,`` rows, ``1_000``,
     and every malformed row, which needs its line number), files with a
     non-finite value and labels with a line break go through
-    :func:`_read_rows`. ``labels`` is None without a label column; a label
-    may keep its padding.
+    :func:`_read_rows`. ``labels`` is None without a label column; labels
+    are stripped, as :func:`_read_rows` strips them.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -219,7 +219,7 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
             labels = None if l_idx is None else table["label"].tolist()
             # numpy reads "\r" and "\r\n" as "\n", inside a quoted label too
             if np.isfinite(values).all() and (labels is None or "\n" not in "".join(labels)):
-                return labels, values
+                return None if labels is None else [label.strip() for label in labels], values
     rows = list(_read_rows(path, value_column, label_column, delimiter, header))
     labels = None if label_column is None else [label for label, _ in rows]
     return labels, np.array([value for _, value in rows], dtype=float)
@@ -238,15 +238,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
                                    schema.delimiter, schema.header)
     if values.size == 0:
         raise DataFormatError(f"{path}: no data rows")
-    # number the periods in order of first appearance, one lookup per run of equal
-    # labels (a period's rows usually stand together); padded labels join the unpadded
-    labels = np.asarray(labels, dtype=object)
-    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
-    heads = labels[starts].tolist()
     periods: dict[str, int] = {}
-    code = {raw: periods.setdefault(raw.strip(), len(periods)) for raw in dict.fromkeys(heads)}
-    codes = np.repeat(np.fromiter(map(code.__getitem__, heads), np.intp, len(heads)),
-                      np.diff(starts, append=labels.size))
+    codes = np.fromiter((periods.setdefault(label, len(periods)) for label in labels),
+                        np.intp, len(labels))
     groups = np.split(values[np.argsort(codes, kind="stable")],
                       np.cumsum(np.bincount(codes))[:-1])
     for label, group in zip(periods, groups):
