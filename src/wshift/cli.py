@@ -146,6 +146,15 @@ def _column_indices(row: list[str], value_column, label_column, header: bool,
     return l_idx, _column_index(names, value_column, path)
 
 
+def _not_utf8(path: Path) -> DataFormatError:
+    """The error for a file that does not decode, naming the offset of its first bad byte."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DataFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    return DataFormatError(f"{path}: not UTF-8 text")
+
+
 def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ",",
                header: bool = True) -> Iterator[tuple[Optional[str], float]]:
     """Yield ``(label, value)`` for every data row; the label is None without a label column.
@@ -157,29 +166,33 @@ def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ","
     valid files faster and hands every file its parser rejects to it.
     """
     bad_lines: list[str] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        v_idx = l_idx = None
-        for line, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-            if _is_blank(row):
-                continue
-            if v_idx is None:
-                l_idx, v_idx = _column_indices(row, value_column, label_column, header, path)
-                width = max(v_idx, l_idx or 0) + 1
-                if header:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            v_idx = l_idx = None
+            for line, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+                if _is_blank(row):
                     continue
-            if len(row) < width:
-                bad_lines.append(f"line {line}: too few columns")
-                continue
-            raw = row[v_idx].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                bad_lines.append(f"line {line}: non-numeric value {raw!r}")
-                continue
-            if not math.isfinite(value):
-                bad_lines.append(f"line {line}: non-finite value {raw!r}")
-                continue
-            yield (None if l_idx is None else row[l_idx].strip()), value
+                if v_idx is None:
+                    l_idx, v_idx = _column_indices(row, value_column, label_column, header,
+                                                   path)
+                    width = max(v_idx, l_idx or 0) + 1
+                    if header:
+                        continue
+                if len(row) < width:
+                    bad_lines.append(f"line {line}: too few columns")
+                    continue
+                raw = row[v_idx].strip()
+                try:
+                    value = float(raw)
+                except ValueError:
+                    bad_lines.append(f"line {line}: non-numeric value {raw!r}")
+                    continue
+                if not math.isfinite(value):
+                    bad_lines.append(f"line {line}: non-finite value {raw!r}")
+                    continue
+                yield (None if l_idx is None else row[l_idx].strip()), value
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if bad_lines:
         shown = "; ".join(bad_lines[:10])
         more = f" (+{len(bad_lines) - 10} more)" if len(bad_lines) > 10 else ""
@@ -198,11 +211,14 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
     :func:`_read_rows`. ``labels`` is None without a label column; labels
     are stripped, as :func:`_read_rows` strips them.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        first = next((row for row in reader if not _is_blank(row)), None)
-        lines_through_header = reader.line_num
-        has_rows = not header or any(not _is_blank(row) for row in reader)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            first = next((row for row in reader if not _is_blank(row)), None)
+            lines_through_header = reader.line_num
+            has_rows = not header or any(not _is_blank(row) for row in reader)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     # numpy needs the quote for itself, and warns on a file without rows
     if first is not None and has_rows and delimiter != '"':
         l_idx, v_idx = _column_indices(first, value_column, label_column, header, path)
@@ -642,17 +658,16 @@ def _cmd_interpolate(opts_values: dict, argv: list[str]) -> int:
                 for t, h in zip(ts, mixtures)]
     tv_curve[0], tv_curve[-1] = 0.0, 1.0
 
+    u_cells = [f"{ui:.10g}," for ui in u.tolist()]  # the same u column in every table
+
     def quantile_csv(q: np.ndarray) -> str:
-        lines = ["u,quantile"]
-        lines += [f"{ui:.10g},{qi:.10g}" for ui, qi in zip(u, q)]
-        return "\n".join(lines) + "\n"
+        return "u,quantile\n" + "".join(f"{a}{qi:.10g}\n" for a, qi in zip(u_cells, q.tolist()))
 
     sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
                        inputs=[src_path, tgt_path])
     for i, (disp, mixture) in enumerate(zip(series, mixtures)):
         if kind in ("displacement", "both"):
-            sink.write_text(f"displacement_{i:02d}.csv",
-                            quantile_csv(np.asarray(disp.quantile(u))))
+            sink.write_text(f"displacement_{i:02d}.csv", quantile_csv(disp.quantile(u)))
         if kind in ("linear", "both"):
             sink.write_text(f"linear_{i:02d}.csv", quantile_csv(mixture.quantile(u)))
     curve_lines = ["t,w2_relative,tv_relative"]

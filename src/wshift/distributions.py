@@ -27,8 +27,11 @@ Conventions
 * All distribution objects are immutable and safe to share across threads.
   Sampling takes an explicit seed (or Generator), so parallel callers own
   independent streams.
-* Monte Carlo blocks hold ``_BLOCK_SCALARS`` = 2^20 values, here and in the
-  limit law's bridge chunks; every draw continues its stream across blocks.
+* Monte Carlo work runs in tiles of ``_BLOCK_SCALARS`` = 2^15 values (256 KiB
+  per array), here and inside the limit law's bridge chunks. Every draw
+  continues its stream across tiles, so the tile size bounds memory and
+  changes no output; the limit law's streams are fixed by its own chunk of
+  2^20 normals (``limitlaw._CHUNK_NORMALS``).
 * :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is first
   called; it is the only scipy use, so importing the package, and every
   command that builds no Gaussian law, never loads scipy.
@@ -66,9 +69,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Offset and cap keeping inverse-transform uniforms strictly inside (0, 1).
 _U_EPS = 2.0 ** -54
 _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
-# Values per block of Monte Carlo work (8 MB): sorted-sample blocks here and the
-# limit-law bridge chunks, so it also fixes the chunk streams ("bridge-paths", i).
-_BLOCK_SCALARS = 1 << 20
+# Values per tile of Monte Carlo work (256 KiB per array): sorted-sample blocks
+# here and the bridge tiles inside each limit-law chunk. It moves no draw.
+_BLOCK_SCALARS = 1 << 15
 
 
 def _as_float_array(x) -> np.ndarray:

@@ -21,15 +21,21 @@ density is rejected when the sampler is built, and a density at quantile
 below 1e-8 inside the weight window raises :class:`SingularDensityError`;
 :func:`case_ii_variance` goes through the same two checks.
 
-Bridges are drawn in chunks of 2^20 / K rows (``_BLOCK_SCALARS`` normals;
+Bridges are drawn in chunks of 2^20 / K rows (``_CHUNK_NORMALS`` normals;
 the last chunk may be shorter). Chunk ``i`` draws from its own stream, labelled
-("bridge-paths", i) under the sampler's seed, and the chunks run on a
+("bridge-paths", i) under the sampler's seed, so ``_CHUNK_NORMALS`` fixes
+every stream: changing it moves every limit-law output. The chunks run on a
 thread pool of up to eight workers (one per CPU the process may use), or
 inline when there is one worker or one chunk. The chunks are joined in
 order, so the draws depend only on (seed, K, reps), never on the number of
 workers, and the draws for ``reps`` are a prefix of the draws for any
 larger ``reps``, at every K: ``transport._row_dots`` rounds a row the same
-way whether its chunk holds one row or many.
+way whatever rows sit beside it, a lone row included.
+
+Inside a chunk the work runs in tiles of ``_BLOCK_SCALARS // K`` rows (at
+least one), reusing one walk and one bridge buffer per chunk. Each tile
+continues the chunk's stream, so the tile size bounds memory and changes
+no output.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ __all__ = [
 
 _DENSITY_FLOOR = 1e-8
 _MAX_WORKERS = 8
+# Normals per bridge chunk; it sets the chunk streams ("bridge-paths", i), so
+# it cannot change without moving every limit-law output.
+_CHUNK_NORMALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,13 +91,16 @@ class BridgeGrid:
         return np.arange(1, self.k) / self.k
 
 
-def _bridge_batch(k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of bridge values at the interior nodes (exact joint law)."""
-    # at most two (rows, k) arrays are alive at a time
-    walk = rng.standard_normal((rows, k))
+def _bridge_batch(walk: np.ndarray, bridge: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill ``bridge`` (rows, K - 1) with bridge values at the interior nodes (exact joint law).
+
+    ``walk`` (rows, K) is scratch space; both buffers are the caller's, and
+    the draws continue ``rng``'s stream.
+    """
+    k = walk.shape[1]
+    rng.standard_normal(out=walk)
     np.cumsum(walk, axis=1, out=walk)
-    frac = np.arange(1, k) / k
-    bridge = np.outer(walk[:, -1], frac)
+    np.multiply(walk[:, -1:], np.arange(1, k) / k, out=bridge)
     np.subtract(walk[:, :-1], bridge, out=bridge)
     bridge /= math.sqrt(k)
     return bridge
@@ -97,7 +109,7 @@ def _bridge_batch(k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
 def simulate_bridge(grid: BridgeGrid, seed: int) -> np.ndarray:
     """One Brownian bridge path at the interior grid nodes."""
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "bridge-paths")
-    return _bridge_batch(grid.k, 1, rng)[0]
+    return _bridge_batch(np.empty((1, grid.k)), np.empty((1, grid.k - 1)), rng)[0]
 
 
 def _require_density(null: Distribution) -> None:
@@ -179,15 +191,23 @@ def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
         raise ParameterError("reps must be >= 1")
     c_quad, c_cross = _node_coefficients(sampler, need_cross)
     k, reps = sampler.grid.k, int(reps)
-    rows = max(1, _BLOCK_SCALARS // k)
+    rows = max(1, _CHUNK_NORMALS // k)
     chunks = -(-reps // rows)
 
     def chunk(i: int):
         rng = derive_rng(sampler.seed, "bridge-paths", i)
-        b = _bridge_batch(k, min(rows, reps - i * rows), rng)
-        cross = _row_dots(b, c_cross) if need_cross else None
-        np.square(b, out=b)
-        return _row_dots(b, c_quad), cross
+        n = min(rows, reps - i * rows)
+        tile = min(n, max(1, _BLOCK_SCALARS // k))
+        walk, bridge = np.empty((tile, k)), np.empty((tile, k - 1))
+        quad, cross = np.empty(n), np.empty(n) if need_cross else None
+        for lo in range(0, n, tile):
+            t = min(tile, n - lo)
+            b = _bridge_batch(walk[:t], bridge[:t], rng)
+            if need_cross:
+                cross[lo:lo + t] = _row_dots(b, c_cross)
+            np.square(b, out=b)
+            quad[lo:lo + t] = _row_dots(b, c_quad)
+        return quad, cross
 
     workers = min(_available_cpus(), chunks, _MAX_WORKERS)
     if workers == 1:

@@ -449,6 +449,22 @@ class TestPowerResampleCommand:
         assert powers[1] >= powers[0]  # power grows with subsample size
         assert powers[1] > 0.9
 
+    @pytest.mark.parametrize("before", [0, 3000], ids=["in-header-chunk", "past-first-read"])
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys, before):
+        rng = np.random.default_rng(7)
+        text = "period,value\n" + "".join(
+            f"{label},{v}\n" for label, count in (("base", before + 50), ("café", 50))
+            for v in rng.normal(0.0, 1.0, count))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text.encode("latin-1"))
+        offset = text.encode("latin-1").index("é".encode("latin-1"))
+        code = main(["power-resample", "--data", str(path), "--n-grid", "10",
+                     "--trials", "20", "--reps", "100"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"wshift power-resample: error: {path}: not UTF-8 text: "
+            f"invalid continuation byte at byte {offset}\n")
+
 
 class TestHelpText:
     @pytest.mark.parametrize("command", [

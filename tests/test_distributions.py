@@ -1,6 +1,7 @@
 """Tests for the distribution primitives and built-in families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from wshift.distributions import (
     uniform01,
 )
 from wshift.errors import DomainError, EmptySampleError, ParameterError
-from wshift.transport import displacement_interpolate, linear_interpolate
+from wshift.transport import (
+    displacement_interpolate,
+    lebesgue,
+    linear_interpolate,
+    plan_scaled_statistic,
+    scaled_statistics,
+)
 
 
 CONTINUOUS_FAMILIES = [
@@ -331,6 +338,18 @@ class TestSortedBlocks:
                                                   replace=False)))
         assert rows.shape == (23, 7)
         assert np.all(np.diff(rows, axis=1) > 0)
+
+    def test_scored_blocks_memory(self):
+        # 3000 rows of n = 1000 in blocks of 32 rows (8 MB blocks peaked near 16 MiB)
+        plan = plan_scaled_statistic(uniform01(), lebesgue(), 1000)
+        tracemalloc.start()
+        try:
+            for block in _sorted_blocks(uniform01(), 1000, 3000, np.random.default_rng(7)):
+                scaled_statistics(block, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_without_replacement_needs_enough_observations(self):
         base = EmpiricalDistribution(np.arange(5.0))

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import wshift.distributions
 from wshift._seeds import derive_rng
 from wshift.distributions import _sorted_blocks, sine_distribution, uniform01
 from wshift.errors import ParameterError
@@ -93,6 +94,14 @@ class TestPhaseTransition:
         c2 = table.cell("type2", 0.5)
         cs = table.cell("error_sum", 0.5)
         assert abs(cs.se - math.hypot(c1.se, c2.se)) < 1e-15
+
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_block_size_does_not_change_table(self, monkeypatch, n):
+        # a 50-value budget holds 4 rows of n = 12 per block, or one row of n = 200
+        cfg = PhaseConfig(n=n, betas=(0.2, 0.8), trials=40, seed=5)
+        want = run_phase_transition(cfg).csv_text()
+        monkeypatch.setattr(wshift.distributions, "_BLOCK_SCALARS", 50)
+        assert run_phase_transition(cfg).csv_text() == want
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

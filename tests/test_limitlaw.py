@@ -1,6 +1,7 @@
 """Tests for the Brownian-bridge simulation and limit-law Monte Carlo."""
 
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +12,6 @@ import wshift.limitlaw
 from wshift.cli import main
 from wshift.distributions import (
     EmpiricalDistribution,
-    _BLOCK_SCALARS,
     affine,
     gaussian,
     sine_distribution,
@@ -24,6 +24,7 @@ from wshift.hypotest import LimitLawCritical, TabulatedCritical, TestConfig, run
 from wshift.limitlaw import (
     BridgeGrid,
     LimitLawSampler,
+    _CHUNK_NORMALS,
     _bridge_batch,
     _law_on_nodes,
     _null_quantile,
@@ -44,6 +45,10 @@ def make_sampler(signal=None, omega=None, k=1024, seed=0):
         BridgeGrid(k), seed=seed)
 
 
+def bridges(k, rows, rng):
+    return _bridge_batch(np.empty((rows, k)), np.empty((rows, k - 1)), rng)
+
+
 class TestBridgeGrid:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -59,14 +64,14 @@ class TestBridgeGrid:
 
 class TestBridgeSimulation:
     def test_variance_at_half(self):
-        b = _bridge_batch(256, 100_000, np.random.default_rng(3))
+        b = bridges(256, 100_000, np.random.default_rng(3))
         mid = b[:, 256 // 2 - 1]
         assert abs(mid.var() - 0.25) < 0.01
 
     def test_covariance_pairs(self):
         # E[B_u B_v] = u ^ v - u v at 10 random node pairs, within 3 SE
         k = 256
-        b = _bridge_batch(k, 100_000, np.random.default_rng(4))
+        b = bridges(k, 100_000, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         nodes = np.arange(1, k) / k
         for _ in range(10):
@@ -132,7 +137,7 @@ class TestChunkStreams:
     """Chunks have their own streams, so the draws do not depend on the worker count."""
 
     K = 4096
-    ROWS = _BLOCK_SCALARS // K  # bridge rows per chunk
+    ROWS = _CHUNK_NORMALS // K  # bridge rows per chunk
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -172,13 +177,38 @@ class TestChunkStreams:
     def test_one_row_chunk_is_a_prefix_at_large_grids(self, k):
         # a lone row of 16383 or more values is where einsum's summation order
         # used to change; the short run ends in a one-row chunk
-        rows = _BLOCK_SCALARS // k
+        rows = _CHUNK_NORMALS // k
         s = make_sampler(signal=sine_distribution(0.8), omega=quadratic_weight(2.0),
                          k=k, seed=5)
         short, long = rows + 1, 2 * rows
         assert np.array_equal(sample_psi_null(s, short), sample_psi_null(s, long)[:short])
         for a, b in zip(sample_psi_components(s, short), sample_psi_components(s, long)):
             assert np.array_equal(a, b[:short])
+
+    @pytest.mark.parametrize("tile_rows", [1, 3, 7])
+    def test_tile_size_does_not_change_draws(self, monkeypatch, tile_rows):
+        # two chunks plus a remainder, cut into tiles of 1, 3 and 7 rows
+        k = 256
+        s = make_sampler(signal=sine_distribution(0.8), k=k, seed=54)
+        reps = 2 * (_CHUNK_NORMALS // k) + 5
+        null, components = sample_psi_null(s, reps), sample_psi_components(s, reps)
+        monkeypatch.setattr(wshift.limitlaw, "_BLOCK_SCALARS", tile_rows * k)
+        assert np.array_equal(sample_psi_null(s, reps), null)
+        for a, b in zip(sample_psi_components(s, reps), components):
+            assert np.array_equal(a, b)
+
+    def test_chunk_memory(self, monkeypatch):
+        # a chunk holds two tile buffers, not its (rows, K) walk (16 MiB at K=4096)
+        s = make_sampler(signal=sine_distribution(0.8), k=self.K, seed=55)
+        monkeypatch.setattr(wshift.limitlaw, "_available_cpus", lambda: 1)
+        sample_psi_components(s, 1)  # module imports are not the kernel's memory
+        tracemalloc.start()
+        try:
+            sample_psi_components(s, 2 * self.ROWS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_single_chunk_starts_no_pool(self, monkeypatch, pools):
         s = make_sampler(k=self.K, seed=53)
