@@ -58,6 +58,7 @@ import numpy as np
 
 from . import __version__
 from ._io import atomic_write_text, sha256_file
+from ._seeds import derive_seed
 from .distributions import (
     Distribution,
     EmpiricalDistribution,
@@ -81,6 +82,7 @@ from .hypotest import (
     ResamplingCritical,
     TabulatedCritical,
     TestConfig,
+    _default_source,
     resampling_power,
     run_test,
 )
@@ -419,16 +421,20 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _parse_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(Path(path)) from None
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -570,8 +576,7 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     samples = EmpiricalDistribution(_read_value_column(data_path, opts_values["column"]))
 
     source_name = opts_values["critical_source"]
-    if source_name == "auto":
-        source_name = "resampling" if isinstance(null, EmpiricalDistribution) else "limitlaw"
+    auto = _default_source(null) if source_name == "auto" else None
     # --reps and --grid-k override the chosen source's own defaults
     reps, grid_k = opts_values["reps"], opts_values["grid_k"]
     given = lambda **kw: {k: v for k, v in kw.items() if v is not None}
@@ -580,9 +585,9 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
             raise ParameterError("tabulated critical source requires --tabulated-value")
         source = TabulatedCritical(opts_values["tabulated_value"],
                                    **given(reference_reps=reps, grid_k=grid_k))
-    elif source_name == "limitlaw":
+    elif source_name == "limitlaw" or isinstance(auto, LimitLawCritical):
         source = LimitLawCritical(**given(reps=reps, grid_k=grid_k))
-    elif source_name == "resampling":
+    elif source_name == "resampling" or isinstance(auto, ResamplingCritical):
         source = ResamplingCritical(**given(reps=reps), replace=opts_values["replace"])
     else:
         raise ParameterError(f"unknown critical source {source_name!r}")
@@ -702,7 +707,7 @@ def _cmd_power_resample(opts_values: dict, argv: list[str]) -> int:
             power = resampling_power(
                 reference, table[label], n, opts_values["alpha"], trials,
                 opts_values["reps"],
-                seed=_label_seed(opts_values["seed"], label, n),
+                seed=derive_seed(opts_values["seed"], "power-resample", label, n),
                 replace=opts_values["replace"])
             se = math.sqrt(max(power * (1 - power), 0.0) / trials)
             lines.append(f"{label},{n},{power:.10g},{se:.10g},{trials}")
@@ -712,11 +717,6 @@ def _cmd_power_resample(opts_values: dict, argv: list[str]) -> int:
     sink.write_text("power_resample.csv", "\n".join(lines) + "\n")
     sink.finish()
     return 0
-
-
-def _label_seed(seed: int, label: str, n: int) -> int:
-    from ._seeds import derive_seed
-    return derive_seed(seed, "power-resample", label, n)
 
 
 # ---------------------------------------------------------------------------

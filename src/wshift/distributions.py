@@ -250,53 +250,39 @@ def _tail_quantile_slope(p: float, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monotone inversion helpers (vectorized bisection)
+# Monotone inversion (vectorized bisection)
 # ---------------------------------------------------------------------------
+
+def _bisect(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi) -> np.ndarray:
+    """Generalized inverse ``inf{z in [lo, hi] : fn(z) >= target}`` of a nondecreasing fn.
+
+    ``lo`` and ``hi`` (numbers, or arrays shaped like ``target``) must bracket
+    the result. The upper end keeps ``fn(hi) >= target``, so step functions
+    invert to the left end of each step. Every point stops once its bracket
+    is narrower than 1e-14 times ``max(1, |hi|)``, and the upper end is returned.
+    """
+    t = np.asarray(target, dtype=float)
+    lo = np.array(np.broadcast_to(lo, t.shape), dtype=float)
+    hi = np.array(np.broadcast_to(hi, t.shape), dtype=float)
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))):
+            break
+        mid = 0.5 * (lo + hi)
+        ge = fn(mid) >= t
+        hi = np.where(ge, mid, hi)
+        lo = np.where(ge, lo, mid)
+    return hi
+
 
 def _cdf_from_quantile(quantile_fn: Callable[[np.ndarray], np.ndarray],
                        lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
-    """CDF of a law with a continuous nondecreasing quantile, by bisection.
+    """CDF of a law with a continuous nondecreasing quantile, by :func:`_bisect`.
 
     The search runs over ``u in [lo, hi]``: laws whose quantile is defined
     on the closed unit interval pass ``(0, 1)``, laws whose quantile may
     diverge at the ends pass a bracket strictly inside it.
     """
-
-    def cdf(x: np.ndarray) -> np.ndarray:
-        xx = np.asarray(x, dtype=float)
-        a = np.full(xx.shape, lo)
-        b = np.full(xx.shape, hi)
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            right = quantile_fn(mid) < xx
-            a = np.where(right, mid, a)
-            b = np.where(right, b, mid)
-        return 0.5 * (a + b)
-
-    return cdf
-
-
-def _invert_cdf(cdf_fn, bracket_fn):
-    """Generalized inverse ``inf{x : F(x) >= u}`` by bisection.
-
-    ``bracket_fn(u) -> (lo, hi)`` must return arrays bracketing the result;
-    works for step cdfs because the upper end maintains ``F(hi) >= u``.
-    """
-
-    def quantile(u: np.ndarray) -> np.ndarray:
-        lo, hi = bracket_fn(u)
-        lo = np.array(np.broadcast_to(lo, u.shape), dtype=float)
-        hi = np.array(np.broadcast_to(hi, u.shape), dtype=float)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            ge = cdf_fn(mid) >= u
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-            if np.all(hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))):
-                break
-        return hi
-
-    return quantile
+    return lambda x: _bisect(quantile_fn, x, lo, hi)
 
 
 # ---------------------------------------------------------------------------

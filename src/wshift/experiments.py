@@ -40,8 +40,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from ._io import atomic_write_text
 from ._seeds import derive_rng, derive_seed
 from .distributions import (
@@ -55,14 +53,13 @@ from .distributions import (
 )
 from .errors import ParameterError
 from .hypotest import _reject_counts, _w2_statistic, ks_statistics_sorted
-from .limitlaw import BridgeGrid, LimitLawSampler, _null_quantile, sample_psi_components
+from .limitlaw import BridgeGrid, LimitLawSampler, _null_quantile, theoretical_type2
 from .transport import (
     WeightMeasure,
     displacement_interpolate,
     lebesgue,
     plan_scaled_statistic,
     quadratic_weight,
-    w2_weighted_squared,
 )
 
 __all__ = [
@@ -308,8 +305,10 @@ class PowerMapConfig:
 def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     """Empirical Type II errors next to the boundary-law prediction.
 
-    Includes a null-calibration cell at axes (0, 0) whose ``type1`` value
-    should sit in the binomial band around the level of ``critical``.
+    Each delta's predictions are one :func:`~wshift.limitlaw.theoretical_type2`
+    call over all gammas at ``critical``. Includes a null-calibration cell
+    at axes (0, 0) whose ``type1`` value should sit in the binomial band
+    around the level of ``critical``.
     """
     null = uniform01()
     omega = lebesgue()
@@ -322,15 +321,13 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     grid = BridgeGrid(cfg.grid_k)
     for delta in cfg.deltas:
         p = float(delta) * math.sqrt(8.0) * math.pi
-        signal = sine_distribution(p)
         sampler = LimitLawSampler.from_distributions(
-            null, signal, omega, grid, seed=derive_seed(cfg.seed, "law", repr(float(delta))))
-        quad, cross = sample_psi_components(sampler, cfg.law_reps)
-        delta_sq = w2_weighted_squared(null, signal, omega)
-        for gamma in cfg.gammas:
+            null, sine_distribution(p), omega, grid,
+            seed=derive_seed(cfg.seed, "law", repr(float(delta))))
+        predicted = theoretical_type2(sampler, cfg.gammas, None, cfg.law_reps,
+                                      critical=cfg.critical)
+        for gamma, theo in zip(cfg.gammas, predicted):
             [rejected] = _shift_counts(tests, "sine", p, gamma, cfg.n, cfg.trials, cfg.seed)
-            threshold = cfg.critical - gamma * gamma * delta_sq
-            theo = float(np.mean(quad + 2.0 * gamma * cross <= threshold))
             cells.append(_prob_cell((delta, gamma), "type2_empirical",
                                     1.0 - rejected / cfg.trials, cfg.trials))
             cells.append(_prob_cell((delta, gamma), "type2_theoretical",

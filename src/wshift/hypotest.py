@@ -10,15 +10,16 @@ critical value. Three critical-value sources are supported:
   redrawing samples of the same size from the null itself (the route to use
   when the null is only available as data).
 
-Two resampling conventions coexist deliberately: :func:`run_test` and its
-reference draws work with the scaled, squared statistic ``n * W2^2``, while
-:func:`resampling_critical_value` / :func:`resampling_power` work with the
-plain distance ``W2`` (unsquared, not scaled by n), which is the natural
-scale for comparing a fixed reference sample against subsamples of varying
-size. Both draw samples with :func:`wshift.distributions._sorted_blocks`;
+Every critical value is a quantile of the scaled, squared statistic
+``n * W2^2``: :func:`resampling_critical_value` / :func:`resampling_power`
+score subsamples against a fixed reference sample with the same statistic
+plan as :func:`run_test` (the former reports its quantile as the plain
+distance ``W2``). All draw samples with :func:`wshift.distributions._sorted_blocks`;
 power is counted by :func:`_reject_counts`, the rejection counter the
-experiments use too. A Kolmogorov-Smirnov statistic is included as a
-comparator.
+experiments use too. Without an explicit source a data-sample null is
+resampled and an analytic null goes through the limit law
+(``_default_source``, which the CLI's ``auto`` source calls too). A
+Kolmogorov-Smirnov statistic is included as a comparator.
 """
 
 from __future__ import annotations
@@ -140,6 +141,13 @@ class ResamplingCritical:
 CriticalSource = Union[TabulatedCritical, LimitLawCritical, ResamplingCritical]
 
 
+def _default_source(null: Distribution) -> CriticalSource:
+    """Resampling for a data-sample null, the simulated limit law for an analytic one."""
+    if isinstance(null, EmpiricalDistribution):
+        return ResamplingCritical()
+    return LimitLawCritical()
+
+
 @dataclass(frozen=True)
 class TestConfig:
     __test__ = False  # not a pytest class despite the name
@@ -155,7 +163,7 @@ class TestConfig:
         if self.omega is None:
             object.__setattr__(self, "omega", lebesgue())
         if self.critical_source is None:
-            object.__setattr__(self, "critical_source", LimitLawCritical())
+            object.__setattr__(self, "critical_source", _default_source(self.null_dist))
 
 
 @dataclass(frozen=True)
@@ -262,12 +270,12 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
 
 
 # ---------------------------------------------------------------------------
-# Resampling-based critical values and power (plain-distance convention)
+# Resampling-based critical values and power
 # ---------------------------------------------------------------------------
 
 def _resampling_critical(reference: EmpiricalDistribution, n: int, alpha: float,
                          reps: int, seed: int, replace: bool) -> tuple[Statistic, float]:
-    """The distance to the reference and its resampled (1 - alpha)-quantile."""
+    """The statistic ``n W2^2`` against the reference and its resampled (1 - alpha)-quantile."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if n < 1:
@@ -276,14 +284,10 @@ def _resampling_critical(reference: EmpiricalDistribution, n: int, alpha: float,
     if reps < 1 or k >= reps:
         raise ParameterError(
             f"reps={reps} too small to resolve the {1 - alpha:g}-quantile at alpha={alpha:g}")
-    plan = plan_scaled_statistic(reference, lebesgue(), n)
-
-    def distance(block: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(scaled_statistics(block, plan), 0.0) / n)
-
+    statistic = _w2_statistic(plan_scaled_statistic(reference, lebesgue(), n))
     rng = derive_rng(seed, "resampling-critval")
-    null_distances = _reference_statistics(distance, reference, n, reps, rng, replace)
-    return distance, _order_stat_quantile(null_distances, alpha)
+    null_statistics = _reference_statistics(statistic, reference, n, reps, rng, replace)
+    return statistic, _order_stat_quantile(null_statistics, alpha)
 
 
 def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: float,
@@ -292,9 +296,11 @@ def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: f
 
     The subsamples are drawn from the reference itself (with replacement by
     default), so this is the finite-n null reference distribution of the
-    plain distance between the reference and an n-point sample of it.
+    plain distance between the reference and an n-point sample of it, read
+    as ``sqrt(q / n)`` off the same order statistic q of ``n W2^2``.
     """
-    return _resampling_critical(reference, n, alpha, reps, seed, replace)[1]
+    critical = _resampling_critical(reference, n, alpha, reps, seed, replace)[1]
+    return math.sqrt(max(critical, 0.0) / n)
 
 
 def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistribution,
@@ -303,14 +309,14 @@ def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistrib
     """Power of the resampling test against subsamples of a shifted sample.
 
     Fraction of ``trials`` subsamples of size n from ``shifted`` whose
-    distance to the reference exceeds the resampling critical value at
-    level alpha.
+    statistic ``n W2^2`` against the reference exceeds its resampled
+    (1 - alpha)-quantile.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    distance, critical = _resampling_critical(reference, n, alpha, reps,
-                                              derive_seed(seed, "null-critval"), replace)
+    statistic, critical = _resampling_critical(reference, n, alpha, reps,
+                                               derive_seed(seed, "null-critval"), replace)
     rng = derive_rng(seed, "alt-trials")
     [rejected] = _reject_counts(_sorted_blocks(shifted, n, trials, rng, replace),
-                                [(distance, critical)])
+                                [(statistic, critical)])
     return rejected / trials

@@ -45,7 +45,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +69,8 @@ __all__ = [
 
 _DENSITY_FLOOR = 1e-8
 _MAX_WORKERS = 8
+# Resamples behind a critical value's standard error.
+_BOOTSTRAP = 200
 # Normals per bridge chunk; it sets the chunk streams ("bridge-paths", i), so
 # it cannot change without moving every limit-law output.
 _CHUNK_NORMALS = 1 << 20
@@ -279,34 +281,36 @@ def _null_quantile(sampler: LimitLawSampler, alpha: float,
     return psi, _order_stat_quantile(psi, alpha)
 
 
-def critical_value(sampler: LimitLawSampler, alpha: float, reps: int,
-                   bootstrap: int = 200) -> CriticalValue:
+def critical_value(sampler: LimitLawSampler, alpha: float, reps: int) -> CriticalValue:
     """Critical value of the level-alpha test from the simulated null law.
 
     The quantile is the order statistic at index ceil((1 - alpha) * reps);
-    its standard error is estimated by a resampling bootstrap.
+    its standard error is estimated by a bootstrap of ``_BOOTSTRAP`` resamples.
     """
     psi, value = _null_quantile(sampler, alpha, reps)
     rng = derive_rng(sampler.seed, "critval-bootstrap")
-    boots = np.empty(bootstrap)
-    for i in range(bootstrap):
+    boots = np.empty(_BOOTSTRAP)
+    for i in range(_BOOTSTRAP):
         resample = psi[rng.integers(0, psi.size, psi.size)]
         boots[i] = _order_stat_quantile(resample, alpha)
     return CriticalValue(float(alpha), value, int(reps), int(sampler.seed),
                          float(boots.std(ddof=1)))
 
 
-def theoretical_type2(sampler: LimitLawSampler, gamma: float, alpha: float,
-                      reps: int, critical: float | None = None) -> float:
-    """Asymptotic Type II error at the detection boundary.
+def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
+                      alpha: float | None, reps: int,
+                      critical: float | None = None) -> float | list[float]:
+    """Asymptotic Type II error at the detection boundary, for one gamma or a sequence.
 
-    Fraction of boundary-law draws that fall at or below
-    ``C_alpha - gamma^2 * Delta^2`` where Delta is the weighted distance
-    between signal and null. Pass ``critical`` to reuse a known C_alpha
-    (e.g. the tabulated uniform-null value); otherwise it is simulated
-    from the sampler's own seed.
+    Fraction of boundary-law draws at or below ``C_alpha - gamma^2 * Delta^2``,
+    Delta the weighted distance between signal and null: a float for a number
+    ``gamma``, a list for a sequence, every gamma read off the same draws (stream
+    "type2-boundary" under the sampler's seed). Pass ``critical`` to reuse a known
+    C_alpha (e.g. the tabulated uniform-null value); otherwise it is simulated at
+    level ``alpha`` from the sampler's own seed, and ``alpha`` is read only then.
     """
-    if gamma <= 0.0:
+    gammas = [float(g) for g in np.atleast_1d(gamma)]
+    if any(g <= 0.0 for g in gammas):
         raise ParameterError(f"boundary strength gamma must be positive, got {gamma}")
     if critical is None:
         critical = _null_quantile(sampler, alpha, reps)[1]
@@ -314,8 +318,9 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float, alpha: float,
         sampler, seed=derive_seed(sampler.seed, "type2-boundary"))
     quad, cross = sample_psi_components(boundary_sampler, reps)
     delta_sq = w2_weighted_squared(sampler.null, sampler.signal, sampler.omega)
-    threshold = float(critical) - gamma * gamma * delta_sq
-    return float(np.mean(quad + (2.0 * gamma) * cross <= threshold))
+    type2 = [float(np.mean(quad + (2.0 * g) * cross <= float(critical) - g * g * delta_sq))
+             for g in gammas]
+    return type2 if np.ndim(gamma) else type2[0]
 
 
 def case_ii_variance(null: Distribution, signal: Distribution,

@@ -44,8 +44,8 @@ from .distributions import (
     AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
+    _bisect,
     _cdf_from_quantile,
-    _invert_cdf,
     _open_uniforms,
 )
 from .errors import DomainError, ParameterError, UnboundedSupportError
@@ -517,11 +517,9 @@ def linear_interpolate(source: Distribution, target: Distribution,
     def cdf(x):
         return (1.0 - g) * fa(x) + g * fb(x)
 
-    def bracket(u):
+    def quantile(u):  # the mixture's quantile lies between the two quantiles
         va, vb = qa(u), qb(u)
-        return np.minimum(va, vb), np.maximum(va, vb)
-
-    quantile = _invert_cdf(cdf, bracket)
+        return _bisect(cdf, u, np.minimum(va, vb), np.maximum(va, vb))
 
     dens = None
     da, db = source.density_fn, target.density_fn

@@ -265,8 +265,9 @@ class TestTestCommand:
         ("uniform01", ["--critical-source", "tabulated", "--tabulated-value", "0.5",
                        "--reps", "300", "--grid-k", "128"], TabulatedCritical(0.5, 300, 128)),
         ("csv", ["--reps", "300", "--replace", "false"], ResamplingCritical(300, False)),
+        ("uniform01", ["--reps", "300", "--grid-k", "128"], LimitLawCritical(300, 128)),
     ], ids=["auto-law", "auto-csv", "tabulated", "limitlaw", "resampling",
-            "tabulated-flags", "resampling-flags"])
+            "tabulated-flags", "resampling-flags", "limitlaw-flags"])
     def test_source_defaults_are_the_source_class_defaults(self, tmp_path, monkeypatch,
                                                           null, argv, want):
         seen = []
@@ -299,6 +300,16 @@ class TestConfigPrecedence:
         conf.write_text("bogus = 1\n")
         assert main(["critval", "--config", str(conf)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_bytes("reps = 2000\n# café\n".encode("latin-1"))
+        out = tmp_path / "o"
+        assert main(["critval", "--config", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"wshift critval: error: {conf}: not UTF-8 text: "
+            "invalid continuation byte at byte 17\n")
+        assert not out.exists()
 
 
 class TestExitCodes:

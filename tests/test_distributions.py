@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import wshift.distributions
 from wshift.distributions import (
     EmpiricalDistribution,
+    _bisect,
     _open_uniforms,
     _sorted_blocks,
     affine,
@@ -53,6 +54,20 @@ class TestQuantileCdfDuality:
         u = rng.uniform(1e-6, 1.0 - 1e-6, size=1000)
         err = np.abs(dist.cdf(dist.quantile(u)) - u)
         assert err.max() <= 1e-9
+
+    @pytest.mark.parametrize("dist", [sine_distribution(0.7), tail_distribution(0.3)],
+                             ids=lambda d: d.name)
+    def test_bisected_cdf_inverts_the_quantile(self, dist):
+        # the cdf is the quantile inverted by _bisect, out to 1e-9 from either end
+        u = np.concatenate([[1e-9, 1e-7, 1.0 - 1e-7, 1.0 - 1e-9], np.linspace(1e-3, 0.999, 999)])
+        assert np.abs(dist.cdf_fn(dist.quantile_fn(u)) - u).max() <= 1e-13
+
+    def test_bisect_returns_the_left_end_of_a_step(self):
+        # the two-point cdf is 1/2 on [0, 1): the generalized inverse of 1/2 is 0
+        cdf = two_point(0.0, 1.0).cdf_fn
+        assert abs(_bisect(cdf, 0.5, -1.0, 2.0)) <= 1e-12
+        got = _bisect(cdf, np.array([0.25, 0.5, 0.75, 1.0]), -1.0, 2.0)
+        assert np.abs(got - [0.0, 0.0, 1.0, 1.0]).max() <= 1e-12
 
     @pytest.mark.parametrize("dist", CONTINUOUS_FAMILIES, ids=lambda d: d.name)
     def test_quantile_nondecreasing(self, dist):

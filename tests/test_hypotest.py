@@ -16,6 +16,7 @@ from wshift import hypotest
 from wshift._seeds import derive_rng
 from wshift.distributions import (
     EmpiricalDistribution,
+    _sorted_blocks,
     affine,
     gaussian,
     sample,
@@ -229,6 +230,18 @@ class TestRunTest:
         with pytest.raises(ParameterError, match=r"need \(1 - alpha\) \* reps >= 10"):
             run_test(data, cfg, seed=1)
 
+    @pytest.mark.parametrize("null, want", [
+        (sample(uniform01(), 200, seed=5), ResamplingCritical()),
+        (uniform01(), LimitLawCritical()),
+    ], ids=["data-null", "analytic-null"])
+    def test_default_source_follows_the_null(self, null, want):
+        assert TestConfig(null_dist=null).critical_source == want
+
+    def test_data_null_without_a_source_resamples(self):
+        ref = sample(uniform01(), 400, seed=6)
+        out = run_test(sample(ref, 60, seed=7), TestConfig(null_dist=ref), seed=8)
+        assert out.provenance["source"] == "resampling"
+
     def test_limitlaw_needs_analytic_null(self):
         ref = sample(uniform01(), 100, seed=2)
         cfg = TestConfig(null_dist=ref, critical_source=LimitLawCritical(reps=1000))
@@ -293,6 +306,16 @@ class TestResamplingCriticalValue:
         got = resampling_critical_value(ref, 100, 0.05, 800, seed=17)
         want = math.sqrt(0.46136 / 100.0)
         assert abs(got - want) <= 0.15 * want
+
+    def test_is_the_root_of_the_scaled_statistic_quantile(self):
+        # the order statistic of n W2^2 over the resampled rows, reported as sqrt(q / n)
+        ref = sample(uniform01(), 500, seed=26)
+        n, alpha, reps = 40, 0.05, 300
+        plan = plan_scaled_statistic(ref, lebesgue(), n)
+        blocks = _sorted_blocks(ref, n, reps, derive_rng(27, "resampling-critval"))
+        stats = np.sort(np.concatenate([scaled_statistics(b, plan) for b in blocks]))
+        q = stats[math.ceil((1.0 - alpha) * reps) - 1]
+        assert resampling_critical_value(ref, n, alpha, reps, seed=27) == math.sqrt(q / n)
 
     def test_reps_resolution_validated(self):
         ref = sample(uniform01(), 100, seed=18)

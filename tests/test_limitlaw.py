@@ -322,10 +322,19 @@ class TestTheoreticalType2:
         slack = 2.0 * math.sqrt(0.25 / 20_000)
         assert all(values[i + 1] <= values[i] + slack for i in range(len(values) - 1))
 
-    def test_gamma_must_be_positive(self):
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, (3.0, 0.0), [5.0, -2.0]])
+    def test_gamma_must_be_positive(self, gamma):
         s = make_sampler(signal=sine_distribution(0.5))
         with pytest.raises(ParameterError):
-            theoretical_type2(s, 0.0, 0.05, 1000)
+            theoretical_type2(s, gamma, 0.05, 1000)
+
+    @pytest.mark.parametrize("critical", [None, 0.46136])
+    def test_gamma_sequence_is_the_scalar_calls(self, critical):
+        # every gamma reads the same boundary draws, so the values match bit for bit
+        s = make_sampler(signal=sine_distribution(0.5), k=256, seed=44)
+        gammas = (2.0, 5.5, 9.0)
+        got = theoretical_type2(s, gammas, 0.05, 4000, critical=critical)
+        assert got == [theoretical_type2(s, g, 0.05, 4000, critical=critical) for g in gammas]
 
 
 class TestCaseIIVariance:
