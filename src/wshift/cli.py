@@ -28,7 +28,10 @@ Conventions
   the one hand-written experiment option (the signal specifier; by default
   the config's own signal). ``critval``, ``test`` and ``power-resample``
   take their ``--reps``/``--grid-k`` defaults from their critical source's
-  class (``test``: the chosen source's).
+  class (``test``: the chosen source's). ``test`` rejects ``--grid-k``,
+  ``--replace`` and ``--tabulated-value`` when the chosen source does not
+  read them (``_SOURCE_OPTIONS``), so no manifest records a setting that
+  had no effect.
 * Every output directory gets a ``manifest.json`` with the exact command,
   resolved configuration, seed, input digests, and output names; outputs
   are written atomically (write-then-rename) and contain no timestamps, so
@@ -567,16 +570,33 @@ def _cmd_critval(opts_values: dict, argv: list[str]) -> int:
     return 0
 
 
+# Options of ``test`` that only some critical sources read, by source.
+_SOURCE_OPTIONS = {
+    "tabulated": ("tabulated_value", "grid_k"),
+    "limitlaw": ("grid_k",),
+    "resampling": ("replace",),
+}
+
+
 def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     omega = parse_weight(opts_values["weight"], opts_values["trim"])
     null = parse_distribution(opts_values["null"])
     data_path = opts_values["data"]
     if data_path is None:
         raise ParameterError("test requires --data <csv>")
-    samples = EmpiricalDistribution(_read_value_column(data_path, opts_values["column"]))
 
     source_name = opts_values["critical_source"]
-    auto = _default_source(null) if source_name == "auto" else None
+    if source_name == "auto":
+        source_name = ("resampling" if isinstance(_default_source(null), ResamplingCritical)
+                       else "limitlaw")
+    if source_name not in _SOURCE_OPTIONS:
+        raise ParameterError(f"unknown critical source {source_name!r}")
+    # an option the source does not read is an error, so the manifest names
+    # only settings that took effect
+    for dest in ("tabulated_value", "grid_k", "replace"):
+        if opts_values[dest] is not None and dest not in _SOURCE_OPTIONS[source_name]:
+            raise ParameterError(f"--{dest.replace('_', '-')} is not read by the "
+                                 f"{source_name} critical source")
     # --reps and --grid-k override the chosen source's own defaults
     reps, grid_k = opts_values["reps"], opts_values["grid_k"]
     given = lambda **kw: {k: v for k, v in kw.items() if v is not None}
@@ -585,12 +605,13 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
             raise ParameterError("tabulated critical source requires --tabulated-value")
         source = TabulatedCritical(opts_values["tabulated_value"],
                                    **given(reference_reps=reps, grid_k=grid_k))
-    elif source_name == "limitlaw" or isinstance(auto, LimitLawCritical):
+    elif source_name == "limitlaw":
         source = LimitLawCritical(**given(reps=reps, grid_k=grid_k))
-    elif source_name == "resampling" or isinstance(auto, ResamplingCritical):
-        source = ResamplingCritical(**given(reps=reps), replace=opts_values["replace"])
     else:
-        raise ParameterError(f"unknown critical source {source_name!r}")
+        if opts_values["replace"] is None:  # the manifest records the value used
+            opts_values["replace"] = ResamplingCritical.replace
+        source = ResamplingCritical(**given(reps=reps), replace=opts_values["replace"])
+    samples = EmpiricalDistribution(_read_value_column(data_path, opts_values["column"]))
 
     config = TestConfig(null_dist=null, omega=omega, alpha=opts_values["alpha"],
                         critical_source=source)
@@ -768,7 +789,8 @@ def _build_parser():
         o.add("--critical-source", str, "auto",
               "auto | tabulated | limitlaw | resampling")
         o.add("--tabulated-value", float, None, "critical value for tabulated source")
-        o.add("--replace", _bool, True, "resample with replacement")
+        o.add("--replace", _bool, None,
+              "resample with replacement [default: per critical source]")
 
     def conf_experiment(config_cls):
         def configure(o: _Options):

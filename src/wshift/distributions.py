@@ -32,6 +32,15 @@ Conventions
   continues its stream across tiles, so the tile size bounds memory and
   changes no output; the limit law's streams are fixed by its own chunk of
   2^20 normals (``limitlaw._CHUNK_NORMALS``).
+* Sorted samples of a law drawn by inverse transform sort the uniforms
+  first and then apply the quantile, which gives the same values as sorting
+  after the quantile (a block whose quantile rounds a row out of order is
+  sorted again). When a call spans two or more blocks and the process may
+  use more than one CPU, one worker thread draws and sorts the next block
+  of uniforms while the caller maps and scores the current one; the worker
+  touches only the generator and ``ndarray.sort``. Resampled data blocks
+  are drawn inline. Outputs depend on neither the order of sorting nor the
+  core count.
 * :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is first
   called; it is the only scipy use, so importing the package, and every
   command that builds no Gaussian law, never loads scipy.
@@ -39,7 +48,10 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -529,30 +541,76 @@ def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:
     return EmpiricalDistribution(values)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _one_block_ahead(draw: Callable[[int], np.ndarray], sizes: list[int]) -> Iterator[np.ndarray]:
+    """``draw(m)`` for each ``m`` in ``sizes``, in order.
+
+    With two or more sizes and more than one CPU, one worker thread runs the
+    next ``draw`` while the caller uses the current result; the calls still
+    run one at a time and in order. Closing the generator waits for the
+    draw in flight, so no worker outlives it.
+    """
+    if len(sizes) < 2 or _available_cpus() < 2:
+        yield from map(draw, sizes)
+        return
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(draw, sizes[0])
+        for m in sizes[1:]:
+            done = pending.result()
+            pending = pool.submit(draw, m)
+            yield done
+        yield pending.result()
+
+
 def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generator,
                    replace: bool = True) -> Iterator[np.ndarray]:
     """``reps`` sorted samples of size ``n`` from ``dist``, in memory-bounded blocks.
 
     A block holds at most ``_BLOCK_SCALARS`` values (one row if n is larger).
-    Laws are drawn by inverse transform, a data sample is resampled by index,
-    with replacement or (one row at a time) without; each draw continues the
-    stream, so the rows do not depend on the block size.
+    Laws are drawn by inverse transform: each block's uniforms are sorted
+    (on a worker thread, one block ahead, when :func:`_one_block_ahead` uses
+    one) and mapped through ``quantile_fn`` on the caller's thread. A data
+    sample is resampled by index inline, with replacement or (one row at a
+    time) without. Each draw continues the stream, so the rows do not depend
+    on the thread, nor on the block size unless the quantile stops a
+    :func:`_bisect` on a test over the whole block (the mixture's, which
+    then rounds with its block). The generator owns ``rng`` until it is
+    exhausted or closed.
     """
     resample = isinstance(dist, EmpiricalDistribution)
     if resample and not replace and n > dist.n:
         raise ParameterError(
             f"cannot subsample {n} from {dist.n} observations without replacement")
     rows = max(1, _BLOCK_SCALARS // max(n, 1))
-    done = 0
-    while done < reps:
-        m = min(rows, reps - done)
-        if not resample:
-            block = dist.quantile_fn(_open_uniforms(rng, m * n).reshape(m, n))
-        elif replace:
-            block = dist.values[rng.integers(0, dist.n, size=(m, n))]
-        else:
-            block = np.stack([rng.choice(dist.values, size=n, replace=False)
-                              for _ in range(m)])
-        block.sort(axis=1)
-        yield block
-        done += m
+    sizes = [min(rows, reps - done) for done in range(0, reps, rows)]
+    if resample:
+        for m in sizes:
+            if replace:
+                block = dist.values[rng.integers(0, dist.n, size=(m, n))]
+            else:
+                block = np.stack([rng.choice(dist.values, size=n, replace=False)
+                                  for _ in range(m)])
+            block.sort(axis=1)
+            yield block
+        return
+
+    def sorted_uniforms(m: int) -> np.ndarray:
+        u = _open_uniforms(rng, m * n).reshape(m, n)
+        u.sort(axis=1)
+        return u
+
+    with contextlib.closing(_one_block_ahead(sorted_uniforms, sizes)) as uniforms:
+        for u in uniforms:
+            block = dist.quantile_fn(u)
+            # the same multiset as sorting after the quantile; a quantile that
+            # rounds (or is not monotone) can leave a row out of order
+            if not np.all(block[:, 1:] >= block[:, :-1]):
+                block.sort(axis=1)
+            yield block

@@ -296,6 +296,8 @@ class PowerMapConfig:
 
     def __post_init__(self):
         _check_grids_and_trials(self)
+        if not all(g > 0.0 for g in self.gammas):
+            raise ParameterError(f"gammas must be positive, got {self.gammas}")
         for d in self.deltas:
             if not 0.0 < d * math.sqrt(8.0) * math.pi <= 1.0:
                 raise ParameterError(

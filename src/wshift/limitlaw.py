@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._seeds import derive_rng, derive_seed
-from .distributions import Distribution, _BLOCK_SCALARS
+from .distributions import Distribution, _BLOCK_SCALARS, _available_cpus
 from .errors import ParameterError, SingularDensityError
 from .transport import WeightMeasure, _dot, _row_dots, lebesgue, w2_weighted_squared
 
@@ -177,14 +176,6 @@ def _node_coefficients(sampler: LimitLawSampler, need_cross: bool):
         c_quad = np.where(active, w / (pf * pf), 0.0) * h
         c_cross = np.where(active, gap * w / pf, 0.0) * h if need_cross else None
     return c_quad, c_cross
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):

@@ -283,6 +283,42 @@ class TestTestCommand:
         assert main(["test", "--null", null, "--data", str(data), *argv]) == 0
         assert [config.critical_source for config in seen] == [want]
 
+    @pytest.mark.parametrize("null, argv, message", [
+        ("csv", ["--grid-k", "128"], "--grid-k is not read by the resampling critical source"),
+        ("csv", ["--critical-source", "resampling", "--grid-k", "128"],
+         "--grid-k is not read by the resampling critical source"),
+        ("uniform01", ["--replace", "false"],
+         "--replace is not read by the limitlaw critical source"),
+        ("uniform01", ["--critical-source", "limitlaw", "--replace", "true"],
+         "--replace is not read by the limitlaw critical source"),
+        ("uniform01", ["--critical-source", "tabulated", "--tabulated-value", "0.5",
+                       "--replace", "true"],
+         "--replace is not read by the tabulated critical source"),
+        ("uniform01", ["--critical-source", "limitlaw", "--tabulated-value", "0.5"],
+         "--tabulated-value is not read by the limitlaw critical source"),
+    ], ids=["auto-csv-grid-k", "resampling-grid-k", "auto-law-replace", "limitlaw-replace",
+            "tabulated-replace", "limitlaw-tabulated-value"])
+    def test_option_the_source_does_not_read_is_rejected(self, tmp_path, monkeypatch, capsys,
+                                                         null, argv, message):
+        # the manifest would otherwise record a setting that had no effect
+        monkeypatch.setattr(cli, "run_test", lambda *args, **kwargs: pytest.fail("ran"))
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        if null == "csv":
+            null = f"csv:{data}:value"
+        out = tmp_path / "out"
+        code = main(["test", "--null", null, "--data", str(data), *argv, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"wshift test: error: {message}\n"
+        assert not out.exists()
+
+    def test_resampling_manifest_records_the_replace_used(self, tmp_path):
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        out = tmp_path / "out"
+        assert main(["test", "--null", f"csv:{data}:value", "--data", str(data), "--reps", "100",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["replace"], config["grid_k"]) == (True, None)
+
 
 class TestConfigPrecedence:
     def test_file_overrides_default_flag_overrides_file(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for the distribution primitives and built-in families."""
 
+import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,7 @@ from wshift.transport import (
     lebesgue,
     linear_interpolate,
     plan_scaled_statistic,
+    quadratic_weight,
     scaled_statistics,
 )
 
@@ -370,6 +373,87 @@ class TestSortedBlocks:
         base = EmpiricalDistribution(np.arange(5.0))
         with pytest.raises(ParameterError, match="without replacement"):
             next(_sorted_blocks(base, 6, 3, np.random.default_rng(6), replace=False))
+
+
+# Laws drawn by inverse transform: every quantile shape ``_sorted_blocks`` maps
+# sorted uniforms through, a deliberately non-monotone one included.
+INVERSE_TRANSFORM_LAWS = {
+    "uniform01": uniform01(),
+    "gaussian": gaussian(0.0, 1.0, -8.0, 8.0),
+    "sine": sine_distribution(0.9),
+    "tail": tail_distribution(0.3),
+    "displacement": displacement_interpolate(uniform01(), gaussian(0.0, 1.0, -8.0, 8.0), 0.3),
+    "mixture": linear_interpolate(uniform01(), gaussian(0.5, 0.2), 0.4),
+    "non-monotone": dataclasses.replace(uniform01(), quantile_fn=lambda u: np.cos(9.0 * u)),
+}
+
+
+class TestSortedUniforms:
+    """Sorting the uniforms before the quantile, with one block drawn ahead."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "one-ahead"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("name", INVERSE_TRANSFORM_LAWS)
+    @pytest.mark.parametrize("n, reps", [(7, 23), (1000, 300), (40000, 3)])
+    def test_rows_equal_sorting_after_the_quantile(self, cpus, name, n, reps):
+        # the inline reference maps each block of uniforms, then sorts its rows
+        # (blocks as _sorted_blocks cuts them: a bisection quantile stops on
+        # a test over the whole block)
+        dist = INVERSE_TRANSFORM_LAWS[name]
+        got = np.concatenate(list(_sorted_blocks(dist, n, reps, np.random.default_rng(9))))
+        rng, rows = np.random.default_rng(9), max(1, wshift.distributions._BLOCK_SCALARS // n)
+        want = np.concatenate([
+            np.sort(dist.quantile_fn(_open_uniforms(rng, m * n).reshape(m, n)), axis=1)
+            for m in (min(rows, reps - lo) for lo in range(0, reps, rows))])
+        assert got.tobytes() == want.tobytes()
+
+    def test_closing_after_the_first_block_stops_the_worker(self, monkeypatch):
+        monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        blocks = _sorted_blocks(uniform01(), 1000, 300, np.random.default_rng(10))
+        next(blocks)
+        assert threading.active_count() == before + 1  # drawing the next block
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_reaches_the_caller(self, cpus):
+        class FailsOnSecondBlock:
+            def __init__(self):
+                self.calls, self.rng = 0, np.random.default_rng(11)
+
+            def random(self, size):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("draw failed")
+                return self.rng.random(size)
+
+        before = threading.active_count()
+        blocks = _sorted_blocks(uniform01(), 1000, 300, FailsOnSecondBlock())
+        next(blocks)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(blocks)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("weight, n, exact", [
+        (lebesgue(), 10, 1.0 / 6.0),
+        (lebesgue(), 1000, 1.0 / 6.0),
+        (quadratic_weight(2.0), 10, 0.160778),
+        (quadratic_weight(2.0), 1000, 0.155611),
+    ], ids=["lebesgue-10", "lebesgue-1000", "quadratic2-10", "quadratic2-1000"])
+    def test_exact_mean_under_the_uniform_null(self, monkeypatch, weight, n, exact):
+        # U_(j) is Beta(j, n + 1 - j) and the plan is exact for a polynomial
+        # weight, so E[stat] = n (sum_j m0_j (Var U_(j) + (E U_(j) - center_j)^2)
+        # + spread) at every n; 2 * 10^7 values span hundreds of blocks
+        monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: 2)
+        reps = 20_000_000 // n
+        plan = plan_scaled_statistic(uniform01(), weight, n)
+        stats = np.concatenate([scaled_statistics(block, plan) for block in _sorted_blocks(
+            uniform01(), n, reps, np.random.default_rng(12))])
+        se = stats.std(ddof=1) / math.sqrt(reps)
+        assert abs(stats.mean() - exact) <= 4.0 * se
 
 
 class TestTransformations:

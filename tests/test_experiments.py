@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import wshift.distributions
+import wshift.experiments
 from wshift._seeds import derive_rng
 from wshift.distributions import _sorted_blocks, sine_distribution, uniform01
+from wshift.cli import main
 from wshift.errors import ParameterError
 from wshift.experiments import (
     Cell,
@@ -172,6 +174,17 @@ class TestPowerMap:
     def test_unrealizable_delta_rejected(self):
         with pytest.raises(ParameterError, match="realizable"):
             PowerMapConfig(deltas=(0.2,))
+
+    @pytest.mark.parametrize("gammas", ["0,5", "5,-1"])
+    def test_nonpositive_gamma_rejected_before_any_trial(self, monkeypatch, capsys, gammas):
+        drawn = []
+        monkeypatch.setattr(wshift.experiments, "_sorted_blocks",
+                            lambda *args, **kwargs: drawn.append(args) or iter(()))
+        code = main(["powermap", "--gammas", gammas, "--deltas", "0.03", "--n", "500",
+                     "--trials", "20", "--law-reps", "100", "--grid-k", "64"])
+        assert code == 1
+        assert "gammas must be positive" in capsys.readouterr().err
+        assert drawn == []
 
 
 KSCOMP_CFG = ComparisonConfig(family="sine", p_grid=(1.0,), gammas=(4.0, 10.0),
