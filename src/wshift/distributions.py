@@ -2,14 +2,14 @@
 
 Every law exposes the same fields, whether it is analytic or a data
 sample: ``name``, the vectorized callables ``quantile_fn`` / ``cdf_fn`` /
-``density_fn`` (``None`` when there is no density), ``support``,
-``bounded_support``, ``quantile_breakpoints`` (points of (0, 1) where the
-quantile jumps or changes formula; the grid ``k/n`` for a sample),
-``quantile_is_identity``, ``quantile_is_step`` (the quantile is constant
-between its breakpoints, as a sample's is) and ``sampler_fn`` (``None``
-unless the law samples other than by inverse transform). Distances,
-transport paths, statistics and limit laws read these fields and need not
-know which kind of law they hold. The public :meth:`quantile` / :meth:`cdf` methods add
+``density_fn`` (``None`` when there is no density), ``support`` (an
+infinite end means the quantile diverges there), ``quantile_breakpoints``
+(points of (0, 1) where the quantile jumps or changes formula; the grid
+``k/n`` for a sample), ``quantile_is_identity`` and ``quantile_is_step``
+(the quantile is constant between its breakpoints, as a sample's is).
+Distances, transport paths, statistics and limit laws read these fields
+and need not know which kind of law they hold, and every law is drawn by
+:func:`_sorted_blocks`. The public :meth:`quantile` / :meth:`cdf` methods add
 domain validation and scalar passthrough on top of the callables.
 
 Analytic laws (:class:`AnalyticDistribution`) store the fields directly;
@@ -29,9 +29,9 @@ Conventions
   independent streams.
 * Monte Carlo work runs in tiles of ``_BLOCK_SCALARS`` = 2^15 values (256 KiB
   per array), here and inside the limit law's bridge chunks. Every draw
-  continues its stream across tiles, so the tile size bounds memory and
-  changes no output; the limit law's streams are fixed by its own chunk of
-  2^20 normals (``limitlaw._CHUNK_NORMALS``).
+  continues its stream across tiles and every quantile is elementwise, so
+  the tile size bounds memory and changes no output; the limit law's
+  streams are fixed by its chunk of 2^20 normals (``limitlaw._CHUNK_NORMALS``).
 * Sorted samples of a law drawn by inverse transform sort the uniforms
   first and then apply the quantile, which gives the same values as sorting
   after the quantile (a block whose quantile rounds a row out of order is
@@ -113,12 +113,10 @@ class AnalyticDistribution:
     quantile_fn: Callable[[np.ndarray], np.ndarray]
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]]
     support: tuple[float, float]
-    bounded_support: bool
     compact_support_ok: bool
     quantile_breakpoints: tuple[float, ...] = ()
     quantile_is_identity: bool = False
     quantile_is_step: bool = False
-    sampler_fn: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
 
     def cdf(self, x):
         scalar = np.isscalar(x)
@@ -153,10 +151,8 @@ class EmpiricalDistribution:
     values: np.ndarray = field(repr=False)
 
     density_fn = None
-    bounded_support = True
     quantile_is_identity = False
     quantile_is_step = True
-    sampler_fn = None
 
     def __post_init__(self):
         v = np.sort(_as_float_array(self.values).ravel())
@@ -270,19 +266,21 @@ def _bisect(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi) -> np.ndarra
 
     ``lo`` and ``hi`` (numbers, or arrays shaped like ``target``) must bracket
     the result. The upper end keeps ``fn(hi) >= target``, so step functions
-    invert to the left end of each step. Every point stops once its bracket
-    is narrower than 1e-14 times ``max(1, |hi|)``, and the upper end is returned.
+    invert to the left end of each step. Each point stops once its own bracket
+    is narrower than 1e-14 times ``max(1, |hi|)``, so an elementwise ``fn``
+    inverts a point alike alone or in any array; the upper end is returned.
     """
     t = np.asarray(target, dtype=float)
     lo = np.array(np.broadcast_to(lo, t.shape), dtype=float)
     hi = np.array(np.broadcast_to(hi, t.shape), dtype=float)
     for _ in range(200):
-        if np.all(hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))):
+        open_ = hi - lo > 1e-14 * np.maximum(1.0, np.abs(hi))
+        if not open_.any():
             break
         mid = 0.5 * (lo + hi)
         ge = fn(mid) >= t
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
+        hi = np.where(open_ & ge, mid, hi)
+        lo = np.where(open_ & ~ge, mid, lo)
     return hi
 
 
@@ -309,7 +307,6 @@ def uniform01() -> AnalyticDistribution:
         quantile_fn=lambda u: np.asarray(u, dtype=float),
         density_fn=lambda x: ((x >= 0.0) & (x <= 1.0)).astype(float),
         support=(0.0, 1.0),
-        bounded_support=True,
         compact_support_ok=True,
         quantile_is_identity=True,
     )
@@ -334,7 +331,6 @@ def gaussian(mean: float = 0.0, sd: float = 1.0,
         quantile_fn=lambda u: m + s * ndtri(u),
         density_fn=lambda x: np.exp(-0.5 * ((x - m) / s) ** 2) / (s * _SQRT_2PI),
         support=(-math.inf, math.inf),
-        bounded_support=False,
         compact_support_ok=False,
     )
     if lo is None and hi is None:
@@ -368,7 +364,6 @@ def sine_distribution(p: float) -> AnalyticDistribution:
         quantile_fn=q,
         density_fn=dens,
         support=(0.0, 1.0),
-        bounded_support=True,
         compact_support_ok=bool(p < 1.0),  # slope vanishes at u=1/2 when p=1
     )
 
@@ -396,7 +391,6 @@ def tail_distribution(p: float) -> AnalyticDistribution:
         quantile_fn=q,
         density_fn=dens,
         support=(lo, hi),
-        bounded_support=True,
         compact_support_ok=True,
         quantile_breakpoints=(p, 1.0 - p),
     )
@@ -413,7 +407,6 @@ def two_point(lo: float, hi: float) -> AnalyticDistribution:
         quantile_fn=lambda u: np.where(u <= 0.5, lo, hi),
         density_fn=None,
         support=(lo, hi),
-        bounded_support=True,
         compact_support_ok=False,
         quantile_breakpoints=(0.5,),
     )
@@ -465,7 +458,6 @@ def truncate(dist: Distribution, lo: float, hi: float) -> Distribution:
         quantile_fn=quantile,
         density_fn=dens,
         support=(lo, hi),
-        bounded_support=True,
         compact_support_ok=base_dens is not None,
         quantile_breakpoints=breakpoints,
     )
@@ -507,7 +499,6 @@ def affine(dist: Distribution, scale: float, shift: float = 0.0) -> Distribution
         quantile_fn=quantile,
         density_fn=dens,
         support=support,
-        bounded_support=dist.bounded_support,
         compact_support_ok=dist.compact_support_ok,
         quantile_breakpoints=breakpoints,
     )
@@ -525,7 +516,7 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:
-    """Draw ``n`` observations by inverse transform; deterministic given seed.
+    """Draw ``n`` observations as one row of :func:`_sorted_blocks`; deterministic given seed.
 
     For empirical inputs this is resampling with replacement. ``seed`` may
     be an integer or an existing ``numpy.random.Generator`` (the caller then
@@ -534,11 +525,8 @@ def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "sample")
-    if dist.sampler_fn is not None:
-        values = dist.sampler_fn(int(n), rng)
-    else:
-        values = dist.quantile_fn(_open_uniforms(rng, int(n)))
-    return EmpiricalDistribution(values)
+    [row] = next(_sorted_blocks(dist, int(n), 1, rng))
+    return EmpiricalDistribution(row)
 
 
 def _available_cpus() -> int:
@@ -578,11 +566,9 @@ def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generat
     (on a worker thread, one block ahead, when :func:`_one_block_ahead` uses
     one) and mapped through ``quantile_fn`` on the caller's thread. A data
     sample is resampled by index inline, with replacement or (one row at a
-    time) without. Each draw continues the stream, so the rows do not depend
-    on the thread, nor on the block size unless the quantile stops a
-    :func:`_bisect` on a test over the whole block (the mixture's, which
-    then rounds with its block). The generator owns ``rng`` until it is
-    exhausted or closed.
+    time) without. Each draw continues the stream, so the rows depend on
+    neither the thread nor the block size. The generator owns ``rng`` until
+    it is exhausted or closed.
     """
     resample = isinstance(dist, EmpiricalDistribution)
     if resample and not replace and n > dist.n:

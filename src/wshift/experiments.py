@@ -25,10 +25,10 @@ unit-weight column of the latter reproduces the former exactly.
 Every cell records its trial count and the binomial standard error; grid
 cells draw from independent labeled streams, so tables are bit-reproducible
 from (config, seed) and independent of evaluation order. Each config is the
-one declaration of its experiment's parameters: ``__post_init__`` checks
-that every tuple field is a non-empty grid, the table's ``config`` echoes
-every field (``_config_echo``), and the CLI derives its options from the
-fields' defaults.
+one declaration of its experiment's parameters: ``__post_init__`` rejects
+an out-of-domain field before any draw (``_check_domain``), the table's
+``config`` echoes every field (``_config_echo``), and the CLI derives its
+options from the fields' defaults.
 """
 
 from __future__ import annotations
@@ -53,7 +53,13 @@ from .distributions import (
 )
 from .errors import ParameterError
 from .hypotest import _reject_counts, _w2_statistic, ks_statistics_sorted
-from .limitlaw import BridgeGrid, LimitLawSampler, _null_quantile, theoretical_type2
+from .limitlaw import (
+    BridgeGrid,
+    LimitLawSampler,
+    _check_quantile_reps,
+    _null_quantile,
+    theoretical_type2,
+)
 from .transport import (
     WeightMeasure,
     displacement_interpolate,
@@ -160,14 +166,29 @@ def _clamped_eps(gamma: float, n: int) -> float:
     return eps
 
 
-def _check_grids_and_trials(cfg) -> None:
-    """Every tuple field of an experiment config is a non-empty grid; trials >= 20."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+def _check_domain(cfg, positive_gammas: bool = False) -> None:
+    """Grids are non-empty, trials >= 20, n >= 1 and critical values positive; where
+    a config has them, gammas are >= 0 (> 0 with ``positive_gammas``), ``grid_k``
+    builds a :class:`~wshift.limitlaw.BridgeGrid` and ``law_reps >= 1``.
+    """
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    for name, value in values.items():
         if isinstance(value, tuple) and not value:
-            raise ParameterError(f"{f.name} needs at least one value")
+            raise ParameterError(f"{name} needs at least one value")
+        if "critical" in name and not value > 0.0:
+            raise ParameterError(f"{name} must be positive, got {value}")
     if cfg.trials < 20:
         raise ParameterError("need at least 20 trials per grid point")
+    if cfg.n < 1:
+        raise ParameterError(f"sample size n must be >= 1, got {cfg.n}")
+    gammas = values.get("gammas", ())
+    if positive_gammas and not all(g > 0.0 for g in gammas):
+        raise ParameterError(f"gammas must be positive, got {gammas}")
+    if not all(g >= 0.0 for g in gammas):
+        raise ParameterError(f"gammas must be nonnegative, got {gammas}")
+    BridgeGrid(values.get("grid_k", BridgeGrid.k))
+    if values.get("law_reps", 1) < 1:
+        raise ParameterError(f"law_reps must be >= 1, got {cfg.law_reps}")
 
 
 def _config_echo(cfg, experiment: str, **extra) -> dict:
@@ -241,7 +262,7 @@ class PhaseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_grids_and_trials(self)
+        _check_domain(self)
         if not all(0.0 < b <= 1.0 for b in self.betas):
             raise ParameterError("betas must lie in (0, 1]")
 
@@ -295,9 +316,7 @@ class PowerMapConfig:
     grid_k: int = 4096
 
     def __post_init__(self):
-        _check_grids_and_trials(self)
-        if not all(g > 0.0 for g in self.gammas):
-            raise ParameterError(f"gammas must be positive, got {self.gammas}")
+        _check_domain(self, positive_gammas=True)
         for d in self.deltas:
             if not 0.0 < d * math.sqrt(8.0) * math.pi <= 1.0:
                 raise ParameterError(
@@ -356,7 +375,7 @@ class ComparisonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_grids_and_trials(self)
+        _check_domain(self)
         for p in self.p_grid:
             _family_distribution(self.family, p)
 
@@ -410,9 +429,10 @@ class WeightComparisonConfig:
     grid_k: int = 4096
 
     def __post_init__(self):
-        _check_grids_and_trials(self)
+        _check_domain(self)
         if not all(0.0 <= a < 12.0 for a in self.a_values):
             raise ParameterError("weight parameters must lie in [0, 12)")
+        _check_quantile_reps(self.alpha, self.law_reps)
         for p in self.p_grid:
             _family_distribution(self.family, p)
 

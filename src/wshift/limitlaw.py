@@ -256,18 +256,23 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def _null_quantile(sampler: LimitLawSampler, alpha: float,
-                   reps: int) -> tuple[np.ndarray, float]:
-    """``reps`` draws of the null law and their (1 - alpha)-quantile.
-
-    The quantile is the order statistic at index ceil((1 - alpha) * reps).
-    """
+def _check_quantile_reps(alpha: float, reps: int) -> None:
+    """``alpha`` is a level and ``reps`` draws are enough for its null quantile."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if (1.0 - alpha) * reps < 10.0:
         raise ParameterError(
             f"reps={reps} too small to estimate the {1 - alpha:g}-quantile; "
             "need (1 - alpha) * reps >= 10")
+
+
+def _null_quantile(sampler: LimitLawSampler, alpha: float,
+                   reps: int) -> tuple[np.ndarray, float]:
+    """``reps`` draws of the null law and their (1 - alpha)-quantile.
+
+    The quantile is the order statistic at index ceil((1 - alpha) * reps).
+    """
+    _check_quantile_reps(alpha, reps)
     psi = sample_psi_null(sampler, reps)
     return psi, _order_stat_quantile(psi, alpha)
 

@@ -46,7 +46,6 @@ from .distributions import (
     EmpiricalDistribution,
     _bisect,
     _cdf_from_quantile,
-    _open_uniforms,
 )
 from .errors import DomainError, ParameterError, UnboundedSupportError
 
@@ -225,7 +224,7 @@ def _panel_nodes(edges: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _check_integrable(dist: Distribution, omega: WeightMeasure) -> None:
-    if not dist.bounded_support and omega.trim == 0.0:
+    if not all(map(math.isfinite, dist.support)) and omega.trim == 0.0:
         raise UnboundedSupportError(
             f"{dist.name} has unbounded support; its quantile diverges at the ends of "
             "(0, 1). Use a trimmed weight measure (trim > 0) or truncate the "
@@ -253,9 +252,9 @@ def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     # einsum, not BLAS gemv: gemv rounds a row differently with the number of
     # rows and of BLAS threads (which follows the CPU count). einsum sums a lone
     # row of 16383 or more values in another order than the same row inside a
-    # block, so a one-row matrix is contracted as two copies of itself.
+    # block, so a one-row matrix is contracted as two views of itself.
     if b.shape[0] == 1:
-        return np.einsum("ij,j->i", np.repeat(b, 2, axis=0), c)[:1]
+        return np.einsum("ij,j->i", np.broadcast_to(b, (2, b.shape[1])), c)[:1]
     return np.einsum("ij,j->i", b, c)
 
 
@@ -490,7 +489,6 @@ def displacement_interpolate(source: Distribution, target: Distribution,
         quantile_fn=quantile,
         density_fn=None,
         support=((1 - e) * slo_a + e * slo_b, (1 - e) * shi_a + e * shi_b),
-        bounded_support=source.bounded_support and target.bounded_support,
         compact_support_ok=False,
         quantile_breakpoints=tuple(bks),
         quantile_is_step=source.quantile_is_step and target.quantile_is_step,
@@ -499,11 +497,7 @@ def displacement_interpolate(source: Distribution, target: Distribution,
 
 def linear_interpolate(source: Distribution, target: Distribution,
                        gamma: float) -> Distribution:
-    """Mixture law with cdf ``(1 - gamma) F + gamma G``.
-
-    Sampling draws from the source with probability ``1 - gamma`` and from
-    the target otherwise.
-    """
+    """Mixture law with cdf ``(1 - gamma) F + gamma G``."""
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError(f"mixture parameter must lie in [0, 1], got {gamma}")
     if gamma == 0.0:
@@ -526,11 +520,6 @@ def linear_interpolate(source: Distribution, target: Distribution,
     if da is not None and db is not None:
         dens = lambda x: (1.0 - g) * da(x) + g * db(x)
 
-    def sampler(n, rng):
-        pick_target = rng.random(n) < g
-        u = _open_uniforms(rng, n)
-        return np.where(pick_target, qb(u), qa(u))
-
     slo_a, shi_a = source.support
     slo_b, shi_b = target.support
     return AnalyticDistribution(
@@ -539,9 +528,7 @@ def linear_interpolate(source: Distribution, target: Distribution,
         quantile_fn=quantile,
         density_fn=dens,
         support=(min(slo_a, slo_b), max(shi_a, shi_b)),
-        bounded_support=source.bounded_support and target.bounded_support,
         compact_support_ok=False,
-        sampler_fn=sampler,
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wshift.distributions
+from wshift._seeds import derive_rng
 from wshift.distributions import (
     EmpiricalDistribution,
     _bisect,
@@ -65,6 +66,19 @@ class TestQuantileCdfDuality:
         u = np.concatenate([[1e-9, 1e-7, 1.0 - 1e-7, 1.0 - 1e-9], np.linspace(1e-3, 0.999, 999)])
         assert np.abs(dist.cdf_fn(dist.quantile_fn(u)) - u).max() <= 1e-13
 
+    @given(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=20),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bisect_is_elementwise(self, points, seed):
+        # a point inverts alike alone and among 2000 others, whose brackets
+        # close at other steps
+        u = np.concatenate([points, np.random.default_rng(seed).random(2000)])
+        for fn in (linear_interpolate(uniform01(), gaussian(0.5, 0.2), 0.4).quantile_fn,
+                   sine_distribution(0.7).cdf_fn, tail_distribution(0.3).cdf_fn):
+            together = fn(u)[:len(points)]
+            alone = np.concatenate([fn(np.array([p])) for p in points])
+            assert together.tobytes() == alone.tobytes()
+
     def test_bisect_returns_the_left_end_of_a_step(self):
         # the two-point cdf is 1/2 on [0, 1): the generalized inverse of 1/2 is 0
         cdf = two_point(0.0, 1.0).cdf_fn
@@ -114,13 +128,13 @@ class TestDistributionProtocol:
         assert isinstance(dist.name, str) and dist.name
         assert callable(dist.quantile_fn) and callable(dist.cdf_fn)
         assert dist.density_fn is None or callable(dist.density_fn)
-        assert dist.sampler_fn is None or callable(dist.sampler_fn)
-        assert isinstance(dist.bounded_support, bool)
         assert isinstance(dist.quantile_is_identity, bool)
         bks = np.asarray(dist.quantile_breakpoints, dtype=float)
         assert np.all((bks > 0.0) & (bks < 1.0)) and np.all(np.diff(bks) > 0.0)
         lo, hi = dist.support
-        assert lo <= hi
+        assert isinstance(lo, float) and isinstance(hi, float) and lo <= hi
+        q = dist.quantile_fn(np.linspace(0.001, 0.999, 999))
+        assert np.all((lo <= q) & (q <= hi))
 
     @pytest.mark.parametrize("dist", EVERY_LAW_KIND)
     def test_callables_match_public_methods(self, dist):
@@ -133,8 +147,8 @@ class TestDistributionProtocol:
         d = EmpiricalDistribution([3.0, 1.0, 2.0, 2.0])
         assert d.name == "empirical(n=4)"
         assert np.array_equal(d.quantile_breakpoints, [0.25, 0.5, 0.75])
-        assert d.density_fn is None and d.sampler_fn is None
-        assert d.bounded_support and not d.quantile_is_identity
+        assert d.density_fn is None and d.support == (1.0, 3.0)
+        assert not d.quantile_is_identity
 
 
 class TestEmpirical:
@@ -295,6 +309,13 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample(uniform01(), 0, seed=1)
 
+    @pytest.mark.parametrize("dist", EVERY_LAW_KIND)
+    @pytest.mark.parametrize("n", [1, 50, 40_000])
+    def test_sample_is_one_sorted_block_row(self, dist, n):
+        # every law, the mixture and a data sample included, is drawn one way
+        [want] = np.concatenate(list(_sorted_blocks(dist, n, 1, derive_rng(17, "sample"))))
+        assert sample(dist, n, seed=17).values.tobytes() == want.tobytes()
+
     def test_open_uniforms_strictly_inside_unit_interval(self):
         # the extreme draws of rng.random(): 1 - 2^-53 plus the offset rounds
         # half-to-even to exactly 1.0 unless it is capped
@@ -399,16 +420,20 @@ class TestSortedUniforms:
     @pytest.mark.parametrize("name", INVERSE_TRANSFORM_LAWS)
     @pytest.mark.parametrize("n, reps", [(7, 23), (1000, 300), (40000, 3)])
     def test_rows_equal_sorting_after_the_quantile(self, cpus, name, n, reps):
-        # the inline reference maps each block of uniforms, then sorts its rows
-        # (blocks as _sorted_blocks cuts them: a bisection quantile stops on
-        # a test over the whole block)
+        # the reference maps all the uniforms at once, then sorts each row
         dist = INVERSE_TRANSFORM_LAWS[name]
         got = np.concatenate(list(_sorted_blocks(dist, n, reps, np.random.default_rng(9))))
-        rng, rows = np.random.default_rng(9), max(1, wshift.distributions._BLOCK_SCALARS // n)
-        want = np.concatenate([
-            np.sort(dist.quantile_fn(_open_uniforms(rng, m * n).reshape(m, n)), axis=1)
-            for m in (min(rows, reps - lo) for lo in range(0, reps, rows))])
-        assert got.tobytes() == want.tobytes()
+        u = _open_uniforms(np.random.default_rng(9), reps * n).reshape(reps, n)
+        assert got.tobytes() == np.sort(dist.quantile_fn(u), axis=1).tobytes()
+
+    def test_mixture_rows_do_not_depend_on_the_budget(self, monkeypatch):
+        # 32 rows of n = 1000 per block, or all 300 rows in one
+        def rows(budget):
+            monkeypatch.setattr(wshift.distributions, "_BLOCK_SCALARS", budget)
+            return np.concatenate(list(_sorted_blocks(
+                INVERSE_TRANSFORM_LAWS["mixture"], 1000, 300, np.random.default_rng(13))))
+
+        assert rows(1 << 15).tobytes() == rows(1 << 20).tobytes()
 
     def test_closing_after_the_first_block_stops_the_worker(self, monkeypatch):
         monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: 2)
@@ -462,7 +487,7 @@ class TestTransformations:
         assert abs(t.cdf(0.45) - 0.5) < 1e-12
         assert abs(t.quantile(0.5) - 0.45) < 1e-12
         assert t.support == (0.2, 0.7)
-        assert t.bounded_support
+        assert truncate(gaussian(0.0, 1.0), -8.0, 8.0).support == (-8.0, 8.0)
 
     def test_truncated_gaussian_matches_parent_inside(self):
         g = gaussian(0.0, 1.0)

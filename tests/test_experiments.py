@@ -6,9 +6,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wshift.distributions
 import wshift.experiments
+import wshift.limitlaw
 from wshift._seeds import derive_rng
 from wshift.distributions import _sorted_blocks, sine_distribution, uniform01
 from wshift.cli import main
@@ -289,6 +292,83 @@ class TestWeightComparison:
 def test_empty_grid_rejected(config, field):
     with pytest.raises(ParameterError, match=field):
         config(**{field: ()})
+
+
+def _with_one(bad: st.SearchStrategy, good: st.SearchStrategy = st.floats(0.0, 20.0)):
+    """Grids of good values with one ``bad`` value somewhere in them."""
+    return st.tuples(st.lists(good, max_size=3), bad, st.lists(good, max_size=3)).map(
+        lambda parts: (*parts[0], parts[1], *parts[2]))
+
+
+_NONPOSITIVE = st.floats(max_value=0.0) | st.just(math.nan)
+_NEGATIVE = st.floats(max_value=-1e-300) | st.just(math.nan)
+_BAD_GRID_K = st.integers(-8, 1 << 20).filter(lambda k: k < 64 or k & (k - 1))
+_SHARED = dict(n=st.integers(max_value=0), trials=st.integers(max_value=19))
+# per config: an out-of-domain strategy for every field with a domain
+OUT_OF_DOMAIN = {
+    PhaseConfig: dict(_SHARED, critical=_NONPOSITIVE,
+                      betas=_with_one(_NONPOSITIVE | st.floats(min_value=1.0, exclude_min=True),
+                                      st.floats(0.1, 1.0))),
+    PowerMapConfig: dict(_SHARED, critical=_NONPOSITIVE, grid_k=_BAD_GRID_K,
+                         law_reps=st.integers(max_value=0),
+                         gammas=_with_one(_NONPOSITIVE, st.floats(0.1, 20.0)),
+                         deltas=_with_one(_NONPOSITIVE | st.floats(0.1126, 10.0),
+                                          st.floats(0.01, 0.1))),
+    ComparisonConfig: dict(_SHARED, critical=_NONPOSITIVE, ks_critical=_NONPOSITIVE,
+                           gammas=_with_one(_NEGATIVE),
+                           p_grid=_with_one(_NEGATIVE
+                                            | st.floats(min_value=1.0, exclude_min=True),
+                                            st.floats(0.0, 1.0)),
+                           family=st.text().filter(lambda f: f not in ("sine", "tail"))),
+    WeightComparisonConfig: dict(_SHARED, critical_lebesgue=_NONPOSITIVE, grid_k=_BAD_GRID_K,
+                                 alpha=_NONPOSITIVE | st.floats(min_value=1.0),
+                                 law_reps=st.integers(max_value=10),  # (1 - 0.05) * 10 < 10
+                                 gammas=_with_one(_NEGATIVE),
+                                 a_values=_with_one(_NEGATIVE | st.floats(min_value=12.0),
+                                                    st.floats(0.0, 11.0)),
+                                 p_grid=_with_one(st.floats(max_value=0.0)
+                                                  | st.floats(min_value=0.5, exclude_min=True),
+                                                  st.floats(0.1, 0.5))),
+}
+_ONE_BAD_FIELD = st.sampled_from([(cls, name, bad) for cls, table in OUT_OF_DOMAIN.items()
+                                  for name, bad in table.items()]).flatmap(
+    lambda case: st.tuples(st.just(case[0]), st.just(case[1]), case[2]))
+
+
+@given(_ONE_BAD_FIELD)
+@settings(max_examples=300, deadline=None)
+def test_out_of_domain_fields_fail_at_construction(case):
+    # nothing may be drawn first: the sample blocks and the limit law raise if reached
+    config, name, value = case
+
+    def reached(*args, **kwargs):
+        raise AssertionError("drawn before the config was checked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wshift.experiments, "_sorted_blocks", reached)
+        for psi in ("sample_psi_null", "sample_psi_components", "sample_psi_boundary"):
+            mp.setattr(wshift.limitlaw, psi, reached)
+        with pytest.raises(ParameterError):
+            config(**{name: value})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare-ks", "--gammas=4,-4", "--p-grid", "0.5"], "gammas must be nonnegative"),
+    (["compare-ks", "--ks-critical=-1"], "ks_critical must be positive"),
+    (["phase", "--critical=-1", "--betas", "0.5"], "critical must be positive"),
+    (["powermap", "--grid-k", "100"], "power of two"),
+    (["powermap", "--law-reps", "0"], "law_reps must be >= 1"),
+], ids=["compare-ks-gammas", "compare-ks-ks-critical", "phase-critical", "powermap-grid-k",
+        "powermap-law-reps"])
+def test_cli_rejects_an_out_of_domain_config_before_any_draw(monkeypatch, capsys, tmp_path,
+                                                             argv, message):
+    drawn = []
+    monkeypatch.setattr(wshift.experiments, "_sorted_blocks",
+                        lambda *args, **kwargs: drawn.append(args) or iter(()))
+    code = main([*argv, "--n", "500", "--trials", "20", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert drawn == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cfg, run", [

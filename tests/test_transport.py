@@ -1,5 +1,6 @@
 """Tests for weight measures, distances, and interpolation paths."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -102,6 +103,14 @@ class TestWeightedDistance:
     def test_unbounded_support_rejected(self):
         with pytest.raises(UnboundedSupportError, match="trim"):
             w2_weighted(gaussian(0.0, 1.0), uniform01())
+
+    def test_an_infinite_support_end_needs_a_trim(self):
+        # the support alone says whether the quantile diverges at an end of (0, 1)
+        half_line = dataclasses.replace(truncate(gaussian(0.0, 1.0), -4.0, 4.0),
+                                        quantile_fn=lambda u: np.log(u), support=(-math.inf, 0.0))
+        with pytest.raises(UnboundedSupportError, match="trim"):
+            w2_weighted_squared(half_line, uniform01())
+        assert math.isfinite(w2_weighted_squared(half_line, uniform01(), lebesgue(trim=0.05)))
 
     def test_trim_makes_unbounded_computable(self):
         got = w2_weighted_squared(gaussian(0.0, 1.0), uniform01(), lebesgue(trim=0.05))
@@ -437,9 +446,9 @@ class TestRowContraction:
 
     @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0)],
                              ids=["lebesgue", "quadratic:2"])
-    @pytest.mark.parametrize("n", [500, 30_000, 100_000])
+    @pytest.mark.parametrize("n", [500, 16_383, 16_384, 30_000, 100_000])
     def test_rows_score_alike_in_any_block(self, n, omega):
-        # 30000 and 100000 are past the lone-row limit of einsum's summation order
+        # einsum sums a lone row of 16383 or more values in another order
         x = np.sort(np.random.default_rng(n).random((7, n)), axis=1)
         plan = plan_scaled_statistic(uniform01(), omega, n)
         whole = scaled_statistics(x, plan)
