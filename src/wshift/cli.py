@@ -26,12 +26,12 @@ Conventions
   string or a tuple of floats, named after the field (``law_reps`` is
   ``--law-reps``) and defaulting to the field's default. ``phase --q`` is
   the one hand-written experiment option (the signal specifier; by default
-  the config's own signal). ``critval``, ``test`` and ``power-resample``
-  take their ``--reps``/``--grid-k`` defaults from their critical source's
-  class (``test``: the chosen source's). ``test`` rejects ``--grid-k``,
-  ``--replace`` and ``--tabulated-value`` when the chosen source does not
-  read them (``_SOURCE_OPTIONS``), so no manifest records a setting that
-  had no effect.
+  the config's own signal). ``critval`` and ``power-resample`` take their
+  option defaults from their critical source's class. ``test`` picks its
+  source class by ``name`` and sets each field given by the option of that
+  name (``value``: ``--tabulated-value``); an option that is no field of the
+  chosen class is an error, so no manifest records a setting that had no
+  effect.
 * Every output directory gets a ``manifest.json`` with the exact command,
   resolved configuration, seed, input digests, and output names; outputs
   are written atomically (write-then-rename) and contain no timestamps, so
@@ -53,7 +53,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -570,12 +570,31 @@ def _cmd_critval(opts_values: dict, argv: list[str]) -> int:
     return 0
 
 
-# Options of ``test`` that only some critical sources read, by source.
-_SOURCE_OPTIONS = {
-    "tabulated": ("tabulated_value", "grid_k"),
-    "limitlaw": ("grid_k",),
-    "resampling": ("replace",),
-}
+_SOURCES = {cls.name: cls for cls in (TabulatedCritical, LimitLawCritical, ResamplingCritical)}
+# the ``test`` option (by destination) that sets each field of a critical source
+_FIELD_OPTION = {f.name: "tabulated_value" if f.name == "value" else f.name
+                 for cls in _SOURCES.values() for f in fields(cls)}
+
+
+def _critical_source(name: str, null: Distribution, opts_values: dict):
+    """The critical source called ``name`` (``auto``: the null's default), built from the options.
+
+    An option that sets no field of that class is an error, so the manifest
+    names only settings that took effect.
+    """
+    name = _default_source(null).name if name == "auto" else name
+    if name not in _SOURCES:
+        raise ParameterError(f"unknown critical source {name!r}")
+    own = {_FIELD_OPTION[f.name]: f for f in fields(_SOURCES[name])}
+    for dest in _FIELD_OPTION.values():
+        if opts_values[dest] is not None and dest not in own:
+            raise ParameterError(f"--{dest.replace('_', '-')} is not read by the "
+                                 f"{name} critical source")
+    for dest, f in own.items():
+        if opts_values[dest] is None and f.default is MISSING:
+            raise ParameterError(f"{name} critical source requires --{dest.replace('_', '-')}")
+    return _SOURCES[name](**{f.name: opts_values[dest] for dest, f in own.items()
+                             if opts_values[dest] is not None})
 
 
 def _cmd_test(opts_values: dict, argv: list[str]) -> int:
@@ -584,33 +603,9 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     data_path = opts_values["data"]
     if data_path is None:
         raise ParameterError("test requires --data <csv>")
-
-    source_name = opts_values["critical_source"]
-    if source_name == "auto":
-        source_name = ("resampling" if isinstance(_default_source(null), ResamplingCritical)
-                       else "limitlaw")
-    if source_name not in _SOURCE_OPTIONS:
-        raise ParameterError(f"unknown critical source {source_name!r}")
-    # an option the source does not read is an error, so the manifest names
-    # only settings that took effect
-    for dest in ("tabulated_value", "grid_k", "replace"):
-        if opts_values[dest] is not None and dest not in _SOURCE_OPTIONS[source_name]:
-            raise ParameterError(f"--{dest.replace('_', '-')} is not read by the "
-                                 f"{source_name} critical source")
-    # --reps and --grid-k override the chosen source's own defaults
-    reps, grid_k = opts_values["reps"], opts_values["grid_k"]
-    given = lambda **kw: {k: v for k, v in kw.items() if v is not None}
-    if source_name == "tabulated":
-        if opts_values["tabulated_value"] is None:
-            raise ParameterError("tabulated critical source requires --tabulated-value")
-        source = TabulatedCritical(opts_values["tabulated_value"],
-                                   **given(reference_reps=reps, grid_k=grid_k))
-    elif source_name == "limitlaw":
-        source = LimitLawCritical(**given(reps=reps, grid_k=grid_k))
-    else:
-        if opts_values["replace"] is None:  # the manifest records the value used
-            opts_values["replace"] = ResamplingCritical.replace
-        source = ResamplingCritical(**given(reps=reps), replace=opts_values["replace"])
+    source = _critical_source(opts_values["critical_source"], null, opts_values)
+    if isinstance(source, ResamplingCritical):  # the manifest records the draw mode used
+        opts_values["replace"] = source.replace
     samples = EmpiricalDistribution(_read_value_column(data_path, opts_values["column"]))
 
     config = TestConfig(null_dist=null, omega=omega, alpha=opts_values["alpha"],
@@ -623,14 +618,7 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     print(f"decision       = {decision}")
     sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
                        inputs=[data_path])
-    sink.write_json("test.json", {
-        "statistic": outcome.statistic,
-        "critical_value": outcome.critical_value,
-        "reject": outcome.reject,
-        "p_value": outcome.p_value,
-        "n": outcome.n,
-        "provenance": outcome.provenance,
-    })
+    sink.write_json("test.json", asdict(outcome))
     sink.finish()
     return 3 if outcome.reject else 0
 
@@ -818,7 +806,7 @@ def _build_parser():
         o.add("--baseline", str, None, "baseline period label (default: first)")
         o.add("--n-grid", _int_list, (10, 50, 100, 500),
               "comma-separated subsample sizes")
-        o.add("--replace", _bool, True, "subsample with replacement")
+        o.add("--replace", _bool, ResamplingCritical.replace, "subsample with replacement")
 
     register("critval", "Monte Carlo critical value of the null limit law",
              conf_critval, _cmd_critval)

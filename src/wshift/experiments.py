@@ -56,6 +56,7 @@ from .hypotest import _reject_counts, _w2_statistic, ks_statistics_sorted
 from .limitlaw import (
     BridgeGrid,
     LimitLawSampler,
+    _check_critical,
     _check_quantile_reps,
     _null_quantile,
     theoretical_type2,
@@ -167,16 +168,16 @@ def _clamped_eps(gamma: float, n: int) -> float:
 
 
 def _check_domain(cfg, positive_gammas: bool = False) -> None:
-    """Grids are non-empty, trials >= 20, n >= 1 and critical values positive; where
-    a config has them, gammas are >= 0 (> 0 with ``positive_gammas``), ``grid_k``
-    builds a :class:`~wshift.limitlaw.BridgeGrid` and ``law_reps >= 1``.
+    """Grids are non-empty, trials >= 20, n >= 1 and critical values positive and
+    finite; where a config has them, gammas are >= 0 (> 0 with ``positive_gammas``),
+    ``grid_k`` builds a :class:`~wshift.limitlaw.BridgeGrid` and ``law_reps >= 1``.
     """
     values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for name, value in values.items():
         if isinstance(value, tuple) and not value:
             raise ParameterError(f"{name} needs at least one value")
-        if "critical" in name and not value > 0.0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        if "critical" in name:
+            _check_critical(value, name)
     if cfg.trials < 20:
         raise ParameterError("need at least 20 trials per grid point")
     if cfg.n < 1:

@@ -10,6 +10,12 @@ critical value. Three critical-value sources are supported:
   redrawing samples of the same size from the null itself (the route to use
   when the null is only available as data).
 
+Each source has a class-level ``name``, fields that are exactly the settings
+it reads, and ``draw(config, n, seed)``, which returns the reference
+statistics behind the p-value and the critical value. :func:`run_test` records
+``name`` and the fields (a tabulated ``value`` aside) as provenance; the CLI's
+``test`` picks a source by ``name`` and sets its fields from its options.
+
 Every critical value is a quantile of the scaled, squared statistic
 ``n * W2^2``: :func:`resampling_critical_value` / :func:`resampling_power`
 score subsamples against a fixed reference sample with the same statistic
@@ -26,8 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Union
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from .errors import ParameterError
 from .limitlaw import (
     BridgeGrid,
     LimitLawSampler,
+    _check_critical,
     _null_quantile,
     _order_stat_quantile,
     sample_psi_null,
@@ -113,29 +120,46 @@ def ks_statistics_sorted(sorted_samples: np.ndarray, null: Distribution) -> np.n
 class TabulatedCritical:
     """A known critical value; reference draws are still simulated for the p-value."""
 
+    name: ClassVar[str] = "tabulated"
     value: float
-    reference_reps: int = 20_000
+    reps: int = 20_000
     grid_k: int = 2048
 
     def __post_init__(self):
-        if self.value <= 0.0:
-            raise ParameterError("tabulated critical value must be positive")
+        _check_critical(self.value, "tabulated critical value")
+
+    def draw(self, config: TestConfig, n: int, seed: int) -> tuple[np.ndarray, float]:
+        sampler = _limit_sampler(config, self.grid_k, seed)
+        return sample_psi_null(sampler, self.reps), float(self.value)
 
 
 @dataclass(frozen=True)
 class LimitLawCritical:
     """Critical value from Monte Carlo simulation of the null limit law."""
 
+    name: ClassVar[str] = "limitlaw"
     reps: int = 100_000
     grid_k: int = 4096
+
+    def draw(self, config: TestConfig, n: int, seed: int) -> tuple[np.ndarray, float]:
+        return _null_quantile(_limit_sampler(config, self.grid_k, seed), config.alpha, self.reps)
 
 
 @dataclass(frozen=True)
 class ResamplingCritical:
     """Critical value from redrawing same-size samples from the null itself."""
 
+    name: ClassVar[str] = "resampling"
     reps: int = 1000
     replace: bool = True
+
+    def draw(self, config: TestConfig, n: int, seed: int) -> tuple[np.ndarray, float]:
+        if self.reps < 100:
+            raise ParameterError("insufficient reference draws: resampling needs reps >= 100")
+        plan = plan_scaled_statistic(config.null_dist, config.omega, n)
+        reference = _reference_statistics(_w2_statistic(plan), config.null_dist, n, self.reps,
+                                          derive_rng(seed, "resampling-reference"), self.replace)
+        return reference, _order_stat_quantile(reference, config.alpha)
 
 
 CriticalSource = Union[TabulatedCritical, LimitLawCritical, ResamplingCritical]
@@ -143,9 +167,7 @@ CriticalSource = Union[TabulatedCritical, LimitLawCritical, ResamplingCritical]
 
 def _default_source(null: Distribution) -> CriticalSource:
     """Resampling for a data-sample null, the simulated limit law for an analytic one."""
-    if isinstance(null, EmpiricalDistribution):
-        return ResamplingCritical()
-    return LimitLawCritical()
+    return ResamplingCritical() if isinstance(null, EmpiricalDistribution) else LimitLawCritical()
 
 
 @dataclass(frozen=True)
@@ -229,35 +251,16 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
     """
     stat = wasserstein_statistic(samples, config.null_dist, config.omega)
     source = config.critical_source
-    provenance: dict = {
+    reference, critical = source.draw(config, samples.n, seed)
+    provenance = {
         "seed": int(seed),
         "null": config.null_dist.name,
         "omega": config.omega.describe(),
         "alpha": config.alpha,
+        "source": source.name,
+        # a tabulated value is the outcome's critical value, not a setting of the source
+        **{f.name: getattr(source, f.name) for f in fields(source) if f.name != "value"},
     }
-
-    if isinstance(source, TabulatedCritical):
-        sampler = _limit_sampler(config, source.grid_k, seed)
-        reference = sample_psi_null(sampler, source.reference_reps)
-        critical = float(source.value)
-        provenance.update(source="tabulated", reps=source.reference_reps,
-                          grid_k=source.grid_k)
-    elif isinstance(source, LimitLawCritical):
-        sampler = _limit_sampler(config, source.grid_k, seed)
-        reference, critical = _null_quantile(sampler, config.alpha, source.reps)
-        provenance.update(source="limitlaw", reps=source.reps, grid_k=source.grid_k)
-    elif isinstance(source, ResamplingCritical):
-        if source.reps < 100:
-            raise ParameterError("insufficient reference draws: resampling needs reps >= 100")
-        rng = derive_rng(seed, "resampling-reference")
-        plan = plan_scaled_statistic(config.null_dist, config.omega, samples.n)
-        reference = _reference_statistics(_w2_statistic(plan), config.null_dist, samples.n,
-                                          source.reps, rng, source.replace)
-        critical = _order_stat_quantile(reference, config.alpha)
-        provenance.update(source="resampling", reps=source.reps, replace=source.replace)
-    else:
-        raise ParameterError(f"unknown critical source {source!r}")
-
     p_value = (1.0 + int(np.count_nonzero(reference >= stat))) / (reference.size + 1.0)
     return TestOutcome(
         statistic=float(stat),

@@ -256,14 +256,20 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def _check_quantile_reps(alpha: float, reps: int) -> None:
+def _check_quantile_reps(alpha: float | None, reps: int) -> None:
     """``alpha`` is a level and ``reps`` draws are enough for its null quantile."""
-    if not (0.0 < alpha < 1.0):
+    if alpha is None or not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if (1.0 - alpha) * reps < 10.0:
         raise ParameterError(
             f"reps={reps} too small to estimate the {1 - alpha:g}-quantile; "
             "need (1 - alpha) * reps >= 10")
+
+
+def _check_critical(value: float, what: str = "critical value") -> None:
+    """A critical value of ``n W2^2`` is positive and finite (NaN is neither)."""
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
 
 
 def _null_quantile(sampler: LimitLawSampler, alpha: float,
@@ -310,6 +316,7 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
         raise ParameterError(f"boundary strength gamma must be positive, got {gamma}")
     if critical is None:
         critical = _null_quantile(sampler, alpha, reps)[1]
+    _check_critical(critical)
     boundary_sampler = dataclasses.replace(
         sampler, seed=derive_seed(sampler.seed, "type2-boundary"))
     quad, cross = sample_psi_components(boundary_sampler, reps)

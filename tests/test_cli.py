@@ -311,6 +311,44 @@ class TestTestCommand:
         assert capsys.readouterr().err == f"wshift test: error: {message}\n"
         assert not out.exists()
 
+    # every option that sets a critical-source field: (text, the field's value)
+    SOURCE_FIELD_OPTIONS = {"tabulated-value": ("0.5", 0.5), "reps": ("300", 300),
+                            "grid-k": ("128", 128), "replace": ("false", False)}
+
+    @pytest.mark.parametrize("source", [TabulatedCritical, LimitLawCritical, ResamplingCritical],
+                             ids=lambda cls: cls.name)
+    def test_accepted_source_options_are_the_class_fields(self, tmp_path, monkeypatch, source):
+        seen = []
+
+        def fake_run_test(samples, config, seed=0):  # records the source, simulates nothing
+            seen.append(config.critical_source)
+            return TestOutcome(0.0, 1.0, False, 1.0, samples.n, {})
+
+        monkeypatch.setattr(cli, "run_test", fake_run_test)
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        accepted = {}
+        for option, (text, value) in self.SOURCE_FIELD_OPTIONS.items():
+            argv = ["test", "--data", str(data), "--critical-source", source.name,
+                    f"--{option}", text]
+            if source is TabulatedCritical and option != "tabulated-value":
+                argv += ["--tabulated-value", "0.5"]  # the one field without a default
+            if main(argv) == 0:
+                field = "value" if option == "tabulated-value" else option.replace("-", "_")
+                accepted[field] = getattr(seen[-1], field) == value
+        assert list(accepted) == [f.name for f in fields(source)]
+        assert all(accepted.values())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_tabulated_value_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        # a NaN critical value would be written to test.json and could never reject
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        out = tmp_path / "out"
+        code = main(["test", "--data", str(data), "--critical-source", "tabulated",
+                     f"--tabulated-value={value}", "--out", str(out)])
+        assert code == 1
+        assert "tabulated critical value must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resampling_manifest_records_the_replace_used(self, tmp_path):
         data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
         out = tmp_path / "out"

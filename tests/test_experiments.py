@@ -302,25 +302,26 @@ def _with_one(bad: st.SearchStrategy, good: st.SearchStrategy = st.floats(0.0, 2
 
 _NONPOSITIVE = st.floats(max_value=0.0) | st.just(math.nan)
 _NEGATIVE = st.floats(max_value=-1e-300) | st.just(math.nan)
+_BAD_CRITICAL = _NONPOSITIVE | st.just(math.inf)  # an infinite critical value never rejects
 _BAD_GRID_K = st.integers(-8, 1 << 20).filter(lambda k: k < 64 or k & (k - 1))
 _SHARED = dict(n=st.integers(max_value=0), trials=st.integers(max_value=19))
 # per config: an out-of-domain strategy for every field with a domain
 OUT_OF_DOMAIN = {
-    PhaseConfig: dict(_SHARED, critical=_NONPOSITIVE,
+    PhaseConfig: dict(_SHARED, critical=_BAD_CRITICAL,
                       betas=_with_one(_NONPOSITIVE | st.floats(min_value=1.0, exclude_min=True),
                                       st.floats(0.1, 1.0))),
-    PowerMapConfig: dict(_SHARED, critical=_NONPOSITIVE, grid_k=_BAD_GRID_K,
+    PowerMapConfig: dict(_SHARED, critical=_BAD_CRITICAL, grid_k=_BAD_GRID_K,
                          law_reps=st.integers(max_value=0),
                          gammas=_with_one(_NONPOSITIVE, st.floats(0.1, 20.0)),
                          deltas=_with_one(_NONPOSITIVE | st.floats(0.1126, 10.0),
                                           st.floats(0.01, 0.1))),
-    ComparisonConfig: dict(_SHARED, critical=_NONPOSITIVE, ks_critical=_NONPOSITIVE,
+    ComparisonConfig: dict(_SHARED, critical=_BAD_CRITICAL, ks_critical=_BAD_CRITICAL,
                            gammas=_with_one(_NEGATIVE),
                            p_grid=_with_one(_NEGATIVE
                                             | st.floats(min_value=1.0, exclude_min=True),
                                             st.floats(0.0, 1.0)),
                            family=st.text().filter(lambda f: f not in ("sine", "tail"))),
-    WeightComparisonConfig: dict(_SHARED, critical_lebesgue=_NONPOSITIVE, grid_k=_BAD_GRID_K,
+    WeightComparisonConfig: dict(_SHARED, critical_lebesgue=_BAD_CRITICAL, grid_k=_BAD_GRID_K,
                                  alpha=_NONPOSITIVE | st.floats(min_value=1.0),
                                  law_reps=st.integers(max_value=10),  # (1 - 0.05) * 10 < 10
                                  gammas=_with_one(_NEGATIVE),
@@ -356,10 +357,12 @@ def test_out_of_domain_fields_fail_at_construction(case):
     (["compare-ks", "--gammas=4,-4", "--p-grid", "0.5"], "gammas must be nonnegative"),
     (["compare-ks", "--ks-critical=-1"], "ks_critical must be positive"),
     (["phase", "--critical=-1", "--betas", "0.5"], "critical must be positive"),
+    (["phase", "--critical=inf", "--betas", "0.5"], "critical must be positive and finite"),
+    (["compare-ks", "--ks-critical=inf"], "ks_critical must be positive and finite"),
     (["powermap", "--grid-k", "100"], "power of two"),
     (["powermap", "--law-reps", "0"], "law_reps must be >= 1"),
-], ids=["compare-ks-gammas", "compare-ks-ks-critical", "phase-critical", "powermap-grid-k",
-        "powermap-law-reps"])
+], ids=["compare-ks-gammas", "compare-ks-ks-critical", "phase-critical", "phase-critical-inf",
+        "compare-ks-ks-critical-inf", "powermap-grid-k", "powermap-law-reps"])
 def test_cli_rejects_an_out_of_domain_config_before_any_draw(monkeypatch, capsys, tmp_path,
                                                              argv, message):
     drawn = []

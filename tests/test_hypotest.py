@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom, hypergeom
 
 import wshift
 from wshift import hypotest
@@ -181,7 +182,7 @@ class TestRunTest:
     def test_decision_consistency(self):
         outcomes = []
         data = sample(uniform01(), 500, seed=4)
-        for source in (TabulatedCritical(0.46136, reference_reps=2000, grid_k=256),
+        for source in (TabulatedCritical(0.46136, reps=2000, grid_k=256),
                        LimitLawCritical(reps=2000, grid_k=256),
                        ResamplingCritical(reps=200)):
             cfg = TestConfig(null_dist=uniform01(), critical_source=source)
@@ -270,6 +271,24 @@ class TestRunTest:
         with pytest.raises(ParameterError):
             TestConfig(null_dist=uniform01(), alpha=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_tabulated_value_is_positive_and_finite(self, value):
+        # NaN and infinite critical values can never reject
+        with pytest.raises(ParameterError, match="positive and finite"):
+            TabulatedCritical(value)
+
+    @pytest.mark.parametrize("source, keys", [
+        (TabulatedCritical(0.46136, reps=300, grid_k=64), {"reps": 300, "grid_k": 64}),
+        (LimitLawCritical(reps=300, grid_k=64), {"reps": 300, "grid_k": 64}),
+        (ResamplingCritical(reps=300, replace=False), {"reps": 300, "replace": False}),
+    ], ids=["tabulated", "limitlaw", "resampling"])
+    def test_provenance_names_the_source_and_its_fields(self, source, keys):
+        out = run_test(sample(uniform01(), 40, seed=2),
+                       TestConfig(null_dist=uniform01(), critical_source=source), seed=3)
+        assert list(out.provenance) == ["seed", "null", "omega", "alpha", "source", *keys]
+        assert out.provenance["source"] == source.name
+        assert {k: out.provenance[k] for k in keys} == keys
+
 
 class TestPValueUniformity:
     def test_null_pvalues_near_uniform(self):
@@ -326,6 +345,41 @@ class TestResamplingCriticalValue:
         ref = sample(uniform01(), 50, seed=20)
         with pytest.raises(ParameterError, match="without replacement"):
             resampling_critical_value(ref, 100, 0.05, 150, seed=21, replace=False)
+
+
+def _exact_resampled_mean(ref: EmpiricalDistribution, plan, replace: bool) -> float:
+    """``E[n W2^2]`` of a size-n sample redrawn from ``ref``, exactly.
+
+    It is ``n (sum_j m0_j E[(X_(j) - c_j)^2] + spread)`` with the plan's slot
+    masses m0, centers c and spread. ``X_(j)`` is at most the i-th smallest
+    reference value when at least j of the n draws land among the i smallest:
+    a binomial count with replacement, a hypergeometric one without.
+    """
+    m, n = ref.n, plan.n
+    j, i = np.arange(1, n + 1)[:, None], np.arange(m + 1)[None, :]
+    cdf = binom.sf(j - 1, n, i / m) if replace else hypergeom.sf(j - 1, m, i, n)
+    second = (np.diff(cdf, axis=1) * (ref.values - plan.center[:, None]) ** 2).sum(axis=1)
+    return n * (float(plan.m0 @ second) + plan.spread)
+
+
+class TestResamplingExactMean:
+    # 200 reference points rounded to 0.1, so ties are common
+    REF = EmpiricalDistribution(np.round(np.random.default_rng(40).normal(size=200), 1))
+    REPS = 20_000
+
+    @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0, 0.05)],
+                             ids=["lebesgue", "quadratic-trimmed"])
+    @pytest.mark.parametrize("replace", [True, False], ids=["replace", "no-replace"])
+    @pytest.mark.parametrize("n", [1, 7, 150])
+    def test_mean_of_the_reference_statistics(self, n, replace, omega):
+        # z = (mean - exact) / SE over 30 seeds per cell had standard deviation 0.7 to 1.2
+        # and |z| <= 3.2 (n = 7 and 150 without replacement: z = 0.4 and 0.3 at 10^6 and
+        # 4 * 10^5 draws); the bound is 4 SE at seed 41
+        plan = plan_scaled_statistic(self.REF, omega, n)
+        stats = hypotest._reference_statistics(hypotest._w2_statistic(plan), self.REF, n,
+                                               self.REPS, derive_rng(41, "exact-mean"), replace)
+        se = stats.std(ddof=1) / math.sqrt(self.REPS)
+        assert abs(stats.mean() - _exact_resampled_mean(self.REF, plan, replace)) <= 4.0 * se
 
 
 class TestResamplingPower:

@@ -328,6 +328,17 @@ class TestTheoreticalType2:
         with pytest.raises(ParameterError):
             theoretical_type2(s, gamma, 0.05, 1000)
 
+    @pytest.mark.parametrize("alpha, critical", [
+        (0.05, math.nan), (0.05, math.inf), (0.05, 0.0), (0.05, -1.0), (None, None)],
+        ids=["nan", "inf", "zero", "negative", "no-alpha"])
+    def test_bad_critical_or_level_fails_before_any_draw(self, monkeypatch, alpha, critical):
+        # a NaN critical value read as Type II 0.0; a missing level raised TypeError
+        monkeypatch.setattr(wshift.limitlaw, "_component_batches",
+                            lambda *args, **kwargs: pytest.fail("drew before checking"))
+        s = make_sampler(signal=sine_distribution(0.5))
+        with pytest.raises(ParameterError):
+            theoretical_type2(s, 3.0, alpha, 1000, critical=critical)
+
     @pytest.mark.parametrize("critical", [None, 0.46136])
     def test_gamma_sequence_is_the_scalar_calls(self, critical):
         # every gamma reads the same boundary draws, so the values match bit for bit
