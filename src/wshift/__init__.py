@@ -62,9 +62,7 @@ from .limitlaw import (
     LimitLawSampler,
     case_ii_variance,
     critical_value,
-    sample_psi_boundary,
     sample_psi_null,
-    simulate_bridge,
     theoretical_type2,
 )
 from .transport import (

@@ -801,8 +801,8 @@ def _build_parser():
     def conf_power_resample(o: _Options):
         _common_options(o, reps=ResamplingCritical.reps, trials=100)
         o.add("--data", str, None, "CSV file with (period, value) rows")
-        o.add("--period-column", str, "period", "period label column")
-        o.add("--value-column", str, "value", "value column")
+        o.add("--period-column", str, CsvSchema.period_column, "period label column")
+        o.add("--value-column", str, CsvSchema.value_column, "value column")
         o.add("--baseline", str, None, "baseline period label (default: first)")
         o.add("--n-grid", _int_list, (10, 50, 100, 500),
               "comma-separated subsample sizes")

@@ -41,9 +41,10 @@ Conventions
   touches only the generator and ``ndarray.sort``. Resampled data blocks
   are drawn inline. Outputs depend on neither the order of sorting nor the
   core count.
-* :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is first
-  called; it is the only scipy use, so importing the package, and every
-  command that builds no Gaussian law, never loads scipy.
+* :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is called,
+  as the limit law's critical-value standard error imports ``betainc``; so
+  importing the package never loads scipy, nor does a command that builds no
+  Gaussian law and reports no such standard error.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def gaussian(mean: float = 0.0, sd: float = 1.0,
     satisfy the compact-support assumption used by the limit-law machinery;
     distance computations on it require a trimmed weight measure.
     """
-    from scipy.special import ndtr, ndtri  # deferred: the package's only scipy use
+    from scipy.special import ndtr, ndtri  # deferred: importing the package loads no scipy
 
     if sd <= 0.0:
         raise ParameterError(f"gaussian sd must be positive, got {sd}")
@@ -348,7 +349,7 @@ def sine_distribution(p: float) -> AnalyticDistribution:
         return uniform01()
 
     def q(u):
-        return u + (p / (2.0 * math.pi)) * np.sin(2.0 * math.pi * u)
+        return sine_quantile(p, u)
 
     inv = _cdf_from_quantile(q, 0.0, 1.0)
 

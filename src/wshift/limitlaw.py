@@ -13,13 +13,10 @@ trapezoid rule on the grid; with the bridge pinned to zero at both ends,
 the rule reduces to a mean over interior nodes.
 
 A :class:`LimitLawSampler` is a plain description of the law: the null,
-the optional signal, the weight, the grid and the seed. The per-node
-coefficients read the null's density at its quantile and the quantile gap
-straight from the two laws, and the squared weighted distance between
-them is :func:`~wshift.transport.w2_weighted_squared`. A null without a
-density is rejected when the sampler is built, and a density at quantile
-below 1e-8 inside the weight window raises :class:`SingularDensityError`;
-:func:`case_ii_variance` goes through the same two checks.
+the optional signal, the weight, the grid and the seed. A null without a
+density, and a law unbounded under an untrimmed weight, are rejected when it
+is built; a density at quantile below 1e-8 inside the weight window raises
+:class:`SingularDensityError`. :func:`case_ii_variance` checks alike.
 
 Bridges are drawn in chunks of 2^20 / K rows (``_CHUNK_NORMALS`` normals;
 the last chunk may be shorter). Chunk ``i`` draws from its own stream, labelled
@@ -35,12 +32,13 @@ way whatever rows sit beside it, a lone row included.
 Inside a chunk the work runs in tiles of ``_BLOCK_SCALARS // K`` rows (at
 least one), reusing one walk and one bridge buffer per chunk. Each tile
 continues the chunk's stream, so the tile size bounds memory and changes
-no output.
+no output. The chunks are the only streams: a critical value's standard
+error is its exact bootstrap value, and :func:`theoretical_type2` reads
+C_alpha off the quadratic column of its own boundary draws.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,19 +46,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._seeds import derive_rng, derive_seed
+from ._seeds import derive_rng
 from .distributions import Distribution, _BLOCK_SCALARS, _available_cpus
 from .errors import ParameterError, SingularDensityError
-from .transport import WeightMeasure, _dot, _row_dots, lebesgue, w2_weighted_squared
+from .transport import (WeightMeasure, _check_integrable, _dot, _row_dots, lebesgue,
+                        w2_weighted_squared)
 
 __all__ = [
     "BridgeGrid",
     "LimitLawSampler",
     "CriticalValue",
-    "simulate_bridge",
     "sample_psi_null",
     "sample_psi_components",
-    "sample_psi_boundary",
     "critical_value",
     "theoretical_type2",
     "case_ii_variance",
@@ -68,8 +65,6 @@ __all__ = [
 
 _DENSITY_FLOOR = 1e-8
 _MAX_WORKERS = 8
-# Resamples behind a critical value's standard error.
-_BOOTSTRAP = 200
 # Normals per bridge chunk; it sets the chunk streams ("bridge-paths", i), so
 # it cannot change without moving every limit-law output.
 _CHUNK_NORMALS = 1 << 20
@@ -107,17 +102,15 @@ def _bridge_batch(walk: np.ndarray, bridge: np.ndarray, rng: np.random.Generator
     return bridge
 
 
-def simulate_bridge(grid: BridgeGrid, seed: int) -> np.ndarray:
-    """One Brownian bridge path at the interior grid nodes."""
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "bridge-paths")
-    return _bridge_batch(np.empty((1, grid.k)), np.empty((1, grid.k - 1)), rng)[0]
-
-
-def _require_density(null: Distribution) -> None:
+def _check_laws(null: Distribution, signal: Distribution | None, omega: WeightMeasure) -> None:
+    """The null has a density, and no quantile diverges inside omega's window."""
     if null.density_fn is None:
         raise ParameterError(
             "limit-law sampling needs an analytic null with a density; "
             "use a resampling critical source for data-defined nulls")
+    for law in (null, signal):
+        if law is not None:
+            _check_integrable(law, omega)
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,7 @@ class LimitLawSampler:
     The null law is read through ``null.density_fn(null.quantile_fn(u))``,
     the boundary cross term through the quantile gap
     ``signal.quantile_fn(u) - null.quantile_fn(u)``. ``signal`` may be
-    ``None`` when only the null law is needed. A null without a density is
-    rejected when the sampler is built.
+    ``None`` when only the null law is needed. Building it runs :func:`_check_laws`.
     """
 
     null: Distribution
@@ -138,7 +130,7 @@ class LimitLawSampler:
     seed: int
 
     def __post_init__(self):
-        _require_density(self.null)
+        _check_laws(self.null, self.signal, self.omega)
 
     @classmethod
     def from_distributions(cls, null: Distribution,
@@ -150,31 +142,21 @@ class LimitLawSampler:
                    grid if grid is not None else BridgeGrid(), int(seed))
 
 
-def _law_on_nodes(null: Distribution, signal: Distribution | None, omega: WeightMeasure,
-                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Weight, null density at quantile and quantile gap (or None) at the nodes u."""
+def _node_coefficients(null: Distribution, signal: Distribution | None, omega: WeightMeasure,
+                       u: np.ndarray, h: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Coefficients of the quadratic and (with a signal) cross integrals at nodes u of weight h."""
     w = omega.density(u)
     pf = null.density_fn(null.quantile_fn(u))
-    if np.any(pf[w > 0.0] < _DENSITY_FLOOR):
+    active = w > 0.0
+    if np.any(pf[active] < _DENSITY_FLOOR):
         raise SingularDensityError(
             "null density at quantile falls below 1e-8 inside the integration window; "
             "trim the weight measure or truncate the null instead of relying on clipping"
         )
     gap = None if signal is None else signal.quantile_fn(u) - null.quantile_fn(u)
-    return w, pf, gap
-
-
-def _node_coefficients(sampler: LimitLawSampler, need_cross: bool):
-    """Per-node trapezoid coefficients of the quadratic (and cross) integrals."""
-    if need_cross and sampler.signal is None:
-        raise ParameterError("sampler has no signal; build it with a signal distribution")
-    w, pf, gap = _law_on_nodes(sampler.null, sampler.signal if need_cross else None,
-                               sampler.omega, sampler.grid.nodes)
-    active = w > 0.0
-    h = 1.0 / sampler.grid.k
     with np.errstate(divide="ignore", invalid="ignore"):
         c_quad = np.where(active, w / (pf * pf), 0.0) * h
-        c_cross = np.where(active, gap * w / pf, 0.0) * h if need_cross else None
+        c_cross = None if gap is None else np.where(active, gap * w / pf, 0.0) * h
     return c_quad, c_cross
 
 
@@ -182,7 +164,10 @@ def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
     """(quad, cross) per chunk of bridge rows, in chunk order."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    c_quad, c_cross = _node_coefficients(sampler, need_cross)
+    if need_cross and sampler.signal is None:
+        raise ParameterError("sampler has no signal; build it with a signal distribution")
+    c_quad, c_cross = _node_coefficients(sampler.null, sampler.signal if need_cross else None,
+                                         sampler.omega, sampler.grid.nodes, 1.0 / sampler.grid.k)
     k, reps = sampler.grid.k, int(reps)
     rows = max(1, _CHUNK_NORMALS // k)
     chunks = -(-reps // rows)
@@ -212,8 +197,7 @@ def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
 
 def sample_psi_null(sampler: LimitLawSampler, reps: int) -> np.ndarray:
     """Draws of the null limit: the weighted integral of (B_u / f(F^{-1}(u)))^2."""
-    parts = [quad for quad, _ in _component_batches(sampler, reps, need_cross=False)]
-    return np.concatenate(parts)
+    return np.concatenate([q for q, _ in _component_batches(sampler, reps, need_cross=False)])
 
 
 def sample_psi_components(sampler: LimitLawSampler, reps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,21 +206,8 @@ def sample_psi_components(sampler: LimitLawSampler, reps: int) -> tuple[np.ndarr
     The boundary limit at parameter gamma is ``quad + 2 * gamma * cross``,
     so one pass yields the law for every gamma at once.
     """
-    quads, crosses = [], []
-    for quad, cross in _component_batches(sampler, reps, need_cross=True):
-        quads.append(quad)
-        crosses.append(cross)
+    quads, crosses = zip(*_component_batches(sampler, reps, need_cross=True))
     return np.concatenate(quads), np.concatenate(crosses)
-
-
-def sample_psi_boundary(sampler: LimitLawSampler, gamma: float, reps: int) -> np.ndarray:
-    """Draws of the boundary limit law at shift strength ``gamma``."""
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return sample_psi_null(sampler, reps)
-    quad, cross = sample_psi_components(sampler, reps)
-    return quad + (2.0 * gamma) * cross
 
 
 @dataclass(frozen=True)
@@ -250,10 +221,32 @@ class CriticalValue:
     standard_error: float
 
 
+def _order_stat_index(size: int, alpha: float) -> int:
+    """k such that the (1 - alpha)-quantile of ``size`` values is their k-th smallest."""
+    return min(max(math.ceil((1.0 - alpha) * size), 1), size)
+
+
 def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
-    k = int(math.ceil((1.0 - alpha) * values.size))
-    k = min(max(k, 1), values.size)
+    k = _order_stat_index(values.size, alpha)
     return float(np.partition(values, k - 1)[k - 1])
+
+
+def _quantile_standard_error(values: np.ndarray, alpha: float) -> float:
+    """Exact bootstrap standard error of :func:`_order_stat_quantile` (Hutson & Ernst 2000).
+
+    The k-th smallest of n values redrawn with replacement is the j-th smallest
+    ``x_(j)`` with probability ``w_j = I_{j/n}(k, n-k+1) - I_{(j-1)/n}(k, n-k+1)``
+    (I the regularized incomplete beta function), ties included, so the error
+    is ``sqrt(sum_j w_j (x_(j) - m)^2)`` with ``m = sum_j w_j x_(j)``.
+    """
+    from scipy.special import betainc  # deferred: importing the package loads no scipy
+
+    x = np.sort(values)
+    n = x.size
+    k = _order_stat_index(n, alpha)
+    w = np.diff(betainc(k, n - k + 1, np.arange(n + 1) / n))
+    dev = x - _dot(w, x)
+    return math.sqrt(_dot(w * dev, dev))
 
 
 def _check_quantile_reps(alpha: float | None, reps: int) -> None:
@@ -274,10 +267,7 @@ def _check_critical(value: float, what: str = "critical value") -> None:
 
 def _null_quantile(sampler: LimitLawSampler, alpha: float,
                    reps: int) -> tuple[np.ndarray, float]:
-    """``reps`` draws of the null law and their (1 - alpha)-quantile.
-
-    The quantile is the order statistic at index ceil((1 - alpha) * reps).
-    """
+    """``reps`` draws of the null law and their (1 - alpha)-quantile (an order statistic)."""
     _check_quantile_reps(alpha, reps)
     psi = sample_psi_null(sampler, reps)
     return psi, _order_stat_quantile(psi, alpha)
@@ -286,17 +276,12 @@ def _null_quantile(sampler: LimitLawSampler, alpha: float,
 def critical_value(sampler: LimitLawSampler, alpha: float, reps: int) -> CriticalValue:
     """Critical value of the level-alpha test from the simulated null law.
 
-    The quantile is the order statistic at index ceil((1 - alpha) * reps);
-    its standard error is estimated by a bootstrap of ``_BOOTSTRAP`` resamples.
+    The quantile is :func:`_null_quantile`'s; its standard error is the exact
+    bootstrap one (:func:`_quantile_standard_error`), which draws nothing.
     """
     psi, value = _null_quantile(sampler, alpha, reps)
-    rng = derive_rng(sampler.seed, "critval-bootstrap")
-    boots = np.empty(_BOOTSTRAP)
-    for i in range(_BOOTSTRAP):
-        resample = psi[rng.integers(0, psi.size, psi.size)]
-        boots[i] = _order_stat_quantile(resample, alpha)
     return CriticalValue(float(alpha), value, int(reps), int(sampler.seed),
-                         float(boots.std(ddof=1)))
+                         _quantile_standard_error(psi, alpha))
 
 
 def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
@@ -306,20 +291,21 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
 
     Fraction of boundary-law draws at or below ``C_alpha - gamma^2 * Delta^2``,
     Delta the weighted distance between signal and null: a float for a number
-    ``gamma``, a list for a sequence, every gamma read off the same draws (stream
-    "type2-boundary" under the sampler's seed). Pass ``critical`` to reuse a known
-    C_alpha (e.g. the tabulated uniform-null value); otherwise it is simulated at
-    level ``alpha`` from the sampler's own seed, and ``alpha`` is read only then.
+    ``gamma``, a list for a sequence, every gamma read off the same draws of
+    :func:`sample_psi_components`. Pass ``critical`` to reuse a known C_alpha
+    (e.g. the tabulated uniform-null value); otherwise it is the level-``alpha``
+    quantile of the draws' quadratic column, the draws of :func:`_null_quantile`.
     """
     gammas = [float(g) for g in np.atleast_1d(gamma)]
     if any(g <= 0.0 for g in gammas):
         raise ParameterError(f"boundary strength gamma must be positive, got {gamma}")
     if critical is None:
-        critical = _null_quantile(sampler, alpha, reps)[1]
+        _check_quantile_reps(alpha, reps)
+    else:
+        _check_critical(critical)  # before any draw
+    quad, cross = sample_psi_components(sampler, reps)
+    critical = _order_stat_quantile(quad, alpha) if critical is None else critical
     _check_critical(critical)
-    boundary_sampler = dataclasses.replace(
-        sampler, seed=derive_seed(sampler.seed, "type2-boundary"))
-    quad, cross = sample_psi_components(boundary_sampler, reps)
     delta_sq = w2_weighted_squared(sampler.null, sampler.signal, sampler.omega)
     type2 = [float(np.mean(quad + (2.0 * g) * cross <= float(critical) - g * g * delta_sq))
              for g in gammas]
@@ -339,13 +325,12 @@ def case_ii_variance(null: Distribution, signal: Distribution,
     is ``sum_i t_i u_i (t_i + 2 sum_{j>i} t_j) - (sum_i t_i u_i)^2``, in
     O(resolution) time and memory.
     """
-    _require_density(null)
     omega = omega if omega is not None else lebesgue()
+    _check_laws(null, signal, omega)
     lo, hi = omega.window
     cell = (hi - lo) / resolution
     u = lo + (np.arange(resolution) + 0.5) * cell
-    w, pf, gap = _law_on_nodes(null, signal, omega, u)
-    t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
+    t = _node_coefficients(null, signal, omega, u, cell)[1]
     after = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)  # sum of t_j over j > i
     tu = t * u
     return float(4.0 * (_dot(tu, t + 2.0 * after) - tu.sum() ** 2))

@@ -347,7 +347,7 @@ def test_out_of_domain_fields_fail_at_construction(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wshift.experiments, "_sorted_blocks", reached)
-        for psi in ("sample_psi_null", "sample_psi_components", "sample_psi_boundary"):
+        for psi in ("sample_psi_null", "sample_psi_components"):
             mp.setattr(wshift.limitlaw, psi, reached)
         with pytest.raises(ParameterError):
             config(**{name: value})

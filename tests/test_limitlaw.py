@@ -1,5 +1,6 @@
 """Tests for the Brownian-bridge simulation and limit-law Monte Carlo."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,8 @@ from wshift.distributions import (
     two_point,
     uniform01,
 )
-from wshift.errors import ParameterError, SingularDensityError
+from wshift._seeds import derive_rng
+from wshift.errors import ParameterError, SingularDensityError, UnboundedSupportError
 from wshift.experiments import WeightComparisonConfig, run_weight_comparison
 from wshift.hypotest import LimitLawCritical, TabulatedCritical, TestConfig, run_test
 from wshift.limitlaw import (
@@ -26,14 +28,14 @@ from wshift.limitlaw import (
     LimitLawSampler,
     _CHUNK_NORMALS,
     _bridge_batch,
-    _law_on_nodes,
+    _node_coefficients,
     _null_quantile,
+    _order_stat_quantile,
+    _quantile_standard_error,
     case_ii_variance,
     critical_value,
-    sample_psi_boundary,
     sample_psi_components,
     sample_psi_null,
-    simulate_bridge,
     theoretical_type2,
 )
 from wshift.transport import lebesgue, quadratic_weight
@@ -83,8 +85,8 @@ class TestBridgeSimulation:
             assert abs(prod.mean() - want) <= 3.0 * se + 1e-12
 
     def test_deterministic(self):
-        grid = BridgeGrid(128)
-        assert np.array_equal(simulate_bridge(grid, 7), simulate_bridge(grid, 7))
+        assert np.array_equal(bridges(128, 3, derive_rng(7, "bridge-paths")),
+                              bridges(128, 3, derive_rng(7, "bridge-paths")))
 
     def test_implied_endpoint_pinning(self):
         # reconstructing the walk at k = K gives exactly zero after pinning
@@ -251,23 +253,24 @@ class TestCriticalValue:
 
     def test_bootstrap_only_where_reported(self, monkeypatch):
         # the standard error is reported by critical_value alone; callers that
-        # need only the quantile must not pay for the bootstrap
-        labels = []
-        derive = wshift.limitlaw.derive_rng
+        # need only the quantile must not pay for it
+        calls = []
+        standard_error = wshift.limitlaw._quantile_standard_error
 
-        def recording_derive_rng(seed, *label):
-            labels.append(label)
-            return derive(seed, *label)
+        def recording_standard_error(values, alpha):
+            calls.append(values.size)
+            return standard_error(values, alpha)
 
-        monkeypatch.setattr(wshift.limitlaw, "derive_rng", recording_derive_rng)
+        monkeypatch.setattr(wshift.limitlaw, "_quantile_standard_error",
+                            recording_standard_error)
         s = make_sampler(signal=sine_distribution(0.5), k=64, seed=7)
         theoretical_type2(s, 3.0, 0.05, 400)
         run_weight_comparison(WeightComparisonConfig(
             a_values=(1.0,), p_grid=(0.3,), gammas=(4.0,), n=200, trials=20,
             law_reps=400, grid_k=64, seed=8))
-        assert labels and ("critval-bootstrap",) not in labels
+        assert calls == []
         critical_value(s, 0.05, 400)
-        assert labels[-1] == ("critval-bootstrap",)
+        assert calls == [400]
 
     def test_grid_refinement_stability(self):
         # discretization bias must be inside the Monte Carlo noise band
@@ -277,11 +280,35 @@ class TestCriticalValue:
         assert abs(cv_coarse.value - cv_fine.value) < 2.0 * combined
 
 
+class TestExactStandardError:
+    @pytest.mark.parametrize("values", [
+        [0.3, 1.2, 0.7, 2.0],
+        [1.0, 2.0, 2.0, 3.5, 0.5],  # ties
+        np.random.default_rng(60).chisquare(3.0, 6),
+    ], ids=["n4", "n5-ties", "n6"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5])
+    def test_equals_every_resample(self, values, alpha):
+        # the bootstrap over all n^n resamples, enumerated
+        x = np.asarray(values, dtype=float)
+        rows = np.array(list(itertools.product(range(x.size), repeat=x.size)))
+        quantiles = np.array([_order_stat_quantile(x[row], alpha) for row in rows])
+        want = quantiles.std()
+        assert abs(_quantile_standard_error(x, alpha) - want) <= 1e-12 * want
+
+    def test_matches_resampling_at_critval_size(self):
+        # 4000 resamples of 8000 null draws: their SE is about 1.1% of the target
+        psi = sample_psi_null(make_sampler(k=256, seed=61), 8000)
+        rng = np.random.default_rng(62)
+        boots = [_order_stat_quantile(psi[rng.integers(0, psi.size, psi.size)], 0.05)
+                 for _ in range(4000)]
+        want = np.std(boots, ddof=1)
+        assert abs(_quantile_standard_error(psi, 0.05) - want) <= 0.05 * want
+
+
 class TestPsiBoundary:
-    def test_gamma_zero_identical_to_null(self):
+    def test_quadratic_column_is_the_null_law(self):
         s = make_sampler(signal=sine_distribution(0.8), seed=31)
-        assert np.array_equal(sample_psi_boundary(s, 0.0, 500),
-                              sample_psi_null(s, 500))
+        assert np.array_equal(sample_psi_components(s, 500)[0], sample_psi_null(s, 500))
 
     def test_cross_term_mean_zero(self):
         s = make_sampler(signal=sine_distribution(0.8), seed=32, k=1024)
@@ -299,7 +326,7 @@ class TestPsiBoundary:
 
     def test_requires_signal(self):
         with pytest.raises(ParameterError, match="signal"):
-            sample_psi_boundary(make_sampler(), 1.0, 10)
+            sample_psi_components(make_sampler(), 10)
 
 
 class TestTheoreticalType2:
@@ -347,6 +374,61 @@ class TestTheoreticalType2:
         got = theoretical_type2(s, gammas, 0.05, 4000, critical=critical)
         assert got == [theoretical_type2(s, g, 0.05, 4000, critical=critical) for g in gammas]
 
+    def test_simulated_critical_is_read_off_the_one_draw(self, monkeypatch):
+        # C_alpha comes from the boundary draws' quadratic column, which is the null
+        # draw of _null_quantile, so the limit law is drawn once
+        s = make_sampler(signal=sine_distribution(0.5), k=256, seed=45)
+        batches, quantiles = [], []
+        component_batches = wshift.limitlaw._component_batches
+        order_stat_quantile = wshift.limitlaw._order_stat_quantile
+
+        def recording_batches(*args, **kwargs):
+            batches.append(args)
+            return component_batches(*args, **kwargs)
+
+        def recording_quantile(values, alpha):
+            quantiles.append(order_stat_quantile(values, alpha))
+            return quantiles[-1]
+
+        monkeypatch.setattr(wshift.limitlaw, "_component_batches", recording_batches)
+        monkeypatch.setattr(wshift.limitlaw, "_order_stat_quantile", recording_quantile)
+        theoretical_type2(s, (2.0, 5.5), 0.05, 4000)
+        assert len(batches) == 1 and len(quantiles) == 1
+        assert quantiles[0] == _null_quantile(s, 0.05, 4000)[1]
+
+
+class TestUnboundedLaws:
+    """A law whose quantile diverges inside an untrimmed window fails before any draw."""
+
+    @pytest.mark.parametrize("compute", [
+        lambda: LimitLawSampler.from_distributions(gaussian(0.0, 1.0)),
+        lambda: LimitLawSampler.from_distributions(uniform01(), gaussian(0.5, 1.0)),
+        lambda: case_ii_variance(gaussian(0.0, 1.0), gaussian(0.5, 1.0)),
+        lambda: case_ii_variance(uniform01(), gaussian(0.5, 1.0)),
+    ], ids=["sampler-null", "sampler-signal", "case-ii-null", "case-ii-signal"])
+    def test_untrimmed_weight_fails(self, monkeypatch, compute):
+        monkeypatch.setattr(wshift.limitlaw, "_component_batches",
+                            lambda *args, **kwargs: pytest.fail("drew before checking"))
+        with pytest.raises(UnboundedSupportError, match="trim"):
+            compute()
+
+    def test_trimmed_weight_builds(self):
+        s = LimitLawSampler.from_distributions(gaussian(0.0, 1.0), gaussian(0.5, 1.0),
+                                               lebesgue(trim=0.01), BridgeGrid(64))
+        assert sample_psi_null(s, 20).shape == (20,)
+        assert case_ii_variance(s.null, s.signal, s.omega) > 0.0
+
+    def test_critval_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # it used to print grid values of a law whose mean diverges
+        out = tmp_path / "cv"
+        assert main(["critval", "--null", "gaussian:0,1", "--reps", "2000",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "wshift critval: error: gaussian(0,1) has unbounded support")
+        assert not out.exists()
+
 
 class TestCaseIIVariance:
     def test_zero_for_identical(self):
@@ -380,8 +462,7 @@ class TestCaseIIVariance:
         lo, hi = omega.window
         cell = (hi - lo) / res
         u = lo + (np.arange(res) + 0.5) * cell
-        w, pf, gap = _law_on_nodes(null, signal, omega, u)
-        t = np.where(w > 0.0, gap * w / pf, 0.0) * cell
+        t = _node_coefficients(null, signal, omega, u, cell)[1]
         dense = 4.0 * t @ (np.minimum.outer(u, u) - np.outer(u, u)) @ t
         got = case_ii_variance(null, signal, omega, resolution=res)
         assert abs(got - dense) <= 1e-12 * dense
