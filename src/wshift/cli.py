@@ -31,7 +31,7 @@ Conventions
   source class by ``name`` and sets each field given by the option of that
   name (``value``: ``--tabulated-value``); an option that is no field of the
   chosen class is an error, so no manifest records a setting that had no
-  effect.
+  effect, and every field of the chosen class is recorded, defaults included.
 * Every output directory gets a ``manifest.json`` with the exact command,
   resolved configuration, seed, input digests, and output names; outputs
   are written atomically (write-then-rename) and contain no timestamps, so
@@ -604,8 +604,8 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     if data_path is None:
         raise ParameterError("test requires --data <csv>")
     source = _critical_source(opts_values["critical_source"], null, opts_values)
-    if isinstance(source, ResamplingCritical):  # the manifest records the draw mode used
-        opts_values["replace"] = source.replace
+    for f in fields(source):  # the manifest records every setting used, defaults included
+        opts_values[_FIELD_OPTION[f.name]] = getattr(source, f.name)
     samples = EmpiricalDistribution(_read_value_column(data_path, opts_values["column"]))
 
     config = TestConfig(null_dist=null, omega=omega, alpha=opts_values["alpha"],

@@ -224,7 +224,7 @@ def sine_quantile(p: float, u):
     ``1 + p cos(2 pi u) >= 1 - p``.
     """
     if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"sine quantile requires p in [0, 1], got {p} "
+        raise ParameterError(f"sine distribution requires p in [0, 1], got {p} "
                              "(monotonicity fails beyond 1)")
     scalar = np.isscalar(u)
     uu = _as_float_array(u)
@@ -239,7 +239,7 @@ def tail_quantile(p: float, u):
     Continuous at the joins and strictly increasing (slope >= 0.55).
     """
     if not (0.0 < p <= 0.5):
-        raise ParameterError(f"tail quantile requires p in (0, 1/2], got {p}")
+        raise ParameterError(f"tail distribution requires p in (0, 1/2], got {p}")
     scalar = np.isscalar(u)
     uu = _as_float_array(u)
     amp = 0.45 * (2.0 * p / math.pi)
@@ -341,60 +341,42 @@ def gaussian(mean: float = 0.0, sd: float = 1.0,
     return truncate(base, lo, hi)
 
 
-def sine_distribution(p: float) -> AnalyticDistribution:
-    """Law on [0, 1] whose quantile is the sinusoidal perturbation of the identity."""
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"sine distribution requires p in [0, 1], got {p}")
-    if p == 0.0:
-        return uniform01()
+def _law_from_quantile(name: str, q: Callable[[np.ndarray], np.ndarray],
+                       slope: Callable[[np.ndarray], np.ndarray], *, compact: bool,
+                       breakpoints: tuple[float, ...] = ()) -> AnalyticDistribution:
+    """Law on ``[q(0), q(1)]`` with the continuous increasing quantile ``q`` of slope ``slope``.
 
-    def q(u):
-        return sine_quantile(p, u)
-
-    inv = _cdf_from_quantile(q, 0.0, 1.0)
+    The CDF inverts ``q`` by :func:`_cdf_from_quantile`; the density is
+    ``1 / slope(cdf(x))`` inside the support (infinite where the slope vanishes).
+    Building the law evaluates ``q`` at 0 and 1, where ``q`` checks its parameter.
+    """
+    cdf = _cdf_from_quantile(q, 0.0, 1.0)
+    lo, hi = float(q(0.0)), float(q(1.0))
 
     def dens(x):
-        inside = (x >= 0.0) & (x <= 1.0)
-        slope = 1.0 + p * np.cos(2.0 * math.pi * inv(np.clip(x, 0.0, 1.0)))
+        inside = (x >= lo) & (x <= hi)
         with np.errstate(divide="ignore"):
-            return np.where(inside, 1.0 / slope, 0.0)
+            return np.where(inside, 1.0 / slope(cdf(np.clip(x, lo, hi))), 0.0)
 
-    return AnalyticDistribution(
-        name=f"sine({p:g})",
-        cdf_fn=inv,
-        quantile_fn=q,
-        density_fn=dens,
-        support=(0.0, 1.0),
-        compact_support_ok=bool(p < 1.0),  # slope vanishes at u=1/2 when p=1
-    )
+    return AnalyticDistribution(name=name, cdf_fn=cdf, quantile_fn=q, density_fn=dens,
+                                support=(lo, hi), compact_support_ok=compact,
+                                quantile_breakpoints=breakpoints)
+
+
+def sine_distribution(p: float) -> AnalyticDistribution:
+    """Law on [0, 1] whose quantile is the sinusoidal perturbation of the identity."""
+    if p == 0.0:
+        return uniform01()
+    # the slope vanishes at u = 1/2 when p = 1
+    return _law_from_quantile(f"sine({p:g})", lambda u: sine_quantile(p, u),
+                              lambda u: 1.0 + p * np.cos(2.0 * math.pi * u), compact=bool(p < 1.0))
 
 
 def tail_distribution(p: float) -> AnalyticDistribution:
     """Law whose quantile deviates from the identity only on the tails."""
-    if not (0.0 < p <= 0.5):
-        raise ParameterError(f"tail distribution requires p in (0, 1/2], got {p}")
-
-    def q(u):
-        return tail_quantile(p, u)
-
-    inv = _cdf_from_quantile(q, 0.0, 1.0)
-    lo = float(tail_quantile(p, 0.0))
-    hi = float(tail_quantile(p, 1.0))
-
-    def dens(x):
-        inside = (x >= lo) & (x <= hi)
-        u = inv(np.clip(x, lo, hi))
-        return np.where(inside, 1.0 / _tail_quantile_slope(p, u), 0.0)
-
-    return AnalyticDistribution(
-        name=f"tailq({p:g})",
-        cdf_fn=inv,
-        quantile_fn=q,
-        density_fn=dens,
-        support=(lo, hi),
-        compact_support_ok=True,
-        quantile_breakpoints=(p, 1.0 - p),
-    )
+    return _law_from_quantile(f"tailq({p:g})", lambda u: tail_quantile(p, u),
+                              lambda u: _tail_quantile_slope(p, u), compact=True,
+                              breakpoints=(p, 1.0 - p))
 
 
 def two_point(lo: float, hi: float) -> AnalyticDistribution:

@@ -17,13 +17,14 @@ statistics behind the p-value and the critical value. :func:`run_test` records
 ``test`` picks a source by ``name`` and sets its fields from its options.
 
 Every critical value is a quantile of the scaled, squared statistic
-``n * W2^2``: :func:`resampling_critical_value` / :func:`resampling_power`
-score subsamples against a fixed reference sample with the same statistic
-plan as :func:`run_test` (the former reports its quantile as the plain
-distance ``W2``). All draw samples with :func:`wshift.distributions._sorted_blocks`;
-power is counted by :func:`_reject_counts`, the rejection counter the
-experiments use too. Without an explicit source a data-sample null is
-resampled and an analytic null goes through the limit law
+``n * W2^2``. Every one read off draws obeys one rule,
+:func:`wshift.limitlaw._check_quantile_reps`, and every resampled one comes
+from :func:`_resampled_critical`, drawing with :func:`wshift.distributions._sorted_blocks`
+on the stream "resampling-reference" (``ResamplingCritical``) or "resampling-critval"
+(:func:`resampling_critical_value`; :func:`resampling_power` under the
+"null-critval" child seed). Power is counted by :func:`_reject_counts`, the
+rejection counter the experiments use too. Without an explicit source a
+data-sample null is resampled and an analytic null goes through the limit law
 (``_default_source``, which the CLI's ``auto`` source calls too). A
 Kolmogorov-Smirnov statistic is included as a comparator.
 """
@@ -49,6 +50,7 @@ from .limitlaw import (
     BridgeGrid,
     LimitLawSampler,
     _check_critical,
+    _check_quantile_reps,
     _null_quantile,
     _order_stat_quantile,
     sample_psi_null,
@@ -156,10 +158,8 @@ class ResamplingCritical:
     def draw(self, config: TestConfig, n: int, seed: int) -> tuple[np.ndarray, float]:
         if self.reps < 100:
             raise ParameterError("insufficient reference draws: resampling needs reps >= 100")
-        plan = plan_scaled_statistic(config.null_dist, config.omega, n)
-        reference = _reference_statistics(_w2_statistic(plan), config.null_dist, n, self.reps,
-                                          derive_rng(seed, "resampling-reference"), self.replace)
-        return reference, _order_stat_quantile(reference, config.alpha)
+        return _resampled_critical(config.null_dist, config.omega, n, config.alpha, self.reps,
+                                   derive_rng(seed, "resampling-reference"), self.replace)[1:]
 
 
 CriticalSource = Union[TabulatedCritical, LimitLawCritical, ResamplingCritical]
@@ -233,11 +233,15 @@ def _reject_counts(blocks: Iterable[np.ndarray],
     return counts
 
 
-def _reference_statistics(statistic: Statistic, null: Distribution, n: int, reps: int,
-                          rng: np.random.Generator, replace: bool) -> np.ndarray:
-    """The statistic of ``reps`` sorted size-n samples redrawn from the null."""
-    return np.concatenate([statistic(block)
-                           for block in _sorted_blocks(null, n, reps, rng, replace)])
+def _resampled_critical(null: Distribution, omega: WeightMeasure, n: int, alpha: float,
+                        reps: int, rng: np.random.Generator,
+                        replace: bool) -> tuple[Statistic, np.ndarray, float]:
+    """(``n W2^2`` against ``null``, its values on ``reps`` redrawn samples, their quantile)."""
+    _check_quantile_reps(alpha, reps)
+    statistic = _w2_statistic(plan_scaled_statistic(null, omega, n))
+    reference = np.concatenate([statistic(block)
+                                for block in _sorted_blocks(null, n, reps, rng, replace)])
+    return statistic, reference, _order_stat_quantile(reference, alpha)
 
 
 def run_test(samples: EmpiricalDistribution, config: TestConfig,
@@ -276,23 +280,6 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
 # Resampling-based critical values and power
 # ---------------------------------------------------------------------------
 
-def _resampling_critical(reference: EmpiricalDistribution, n: int, alpha: float,
-                         reps: int, seed: int, replace: bool) -> tuple[Statistic, float]:
-    """The statistic ``n W2^2`` against the reference and its resampled (1 - alpha)-quantile."""
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < 1:
-        raise ParameterError("subsample size must be >= 1")
-    k = int(math.ceil((1.0 - alpha) * reps))
-    if reps < 1 or k >= reps:
-        raise ParameterError(
-            f"reps={reps} too small to resolve the {1 - alpha:g}-quantile at alpha={alpha:g}")
-    statistic = _w2_statistic(plan_scaled_statistic(reference, lebesgue(), n))
-    rng = derive_rng(seed, "resampling-critval")
-    null_statistics = _reference_statistics(statistic, reference, n, reps, rng, replace)
-    return statistic, _order_stat_quantile(null_statistics, alpha)
-
-
 def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: float,
                               reps: int, seed: int = 0, replace: bool = True) -> float:
     """(1 - alpha)-quantile of ``W2(reference, subsample of size n)``.
@@ -302,7 +289,8 @@ def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: f
     plain distance between the reference and an n-point sample of it, read
     as ``sqrt(q / n)`` off the same order statistic q of ``n W2^2``.
     """
-    critical = _resampling_critical(reference, n, alpha, reps, seed, replace)[1]
+    critical = _resampled_critical(reference, lebesgue(), n, alpha, reps,
+                                   derive_rng(seed, "resampling-critval"), replace)[2]
     return math.sqrt(max(critical, 0.0) / n)
 
 
@@ -317,9 +305,10 @@ def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistrib
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    statistic, critical = _resampling_critical(reference, n, alpha, reps,
-                                               derive_seed(seed, "null-critval"), replace)
-    rng = derive_rng(seed, "alt-trials")
-    [rejected] = _reject_counts(_sorted_blocks(shifted, n, trials, rng, replace),
-                                [(statistic, critical)])
+    statistic, _, critical = _resampled_critical(
+        reference, lebesgue(), n, alpha, reps,
+        derive_rng(derive_seed(seed, "null-critval"), "resampling-critval"), replace)
+    [rejected] = _reject_counts(
+        _sorted_blocks(shifted, n, trials, derive_rng(seed, "alt-trials"), replace),
+        [(statistic, critical)])
     return rejected / trials

@@ -250,13 +250,17 @@ def _quantile_standard_error(values: np.ndarray, alpha: float) -> float:
 
 
 def _check_quantile_reps(alpha: float | None, reps: int) -> None:
-    """``alpha`` is a level and ``reps`` draws are enough for its null quantile."""
+    """``alpha`` is a level and ``reps`` draws are enough for its (1 - alpha)-quantile.
+
+    The one rule for every critical value read off draws: ``(1 - alpha) * reps >= 10``, and
+    the quantile, the k-th smallest draw (:func:`_order_stat_index`), is not the largest.
+    """
     if alpha is None or not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if (1.0 - alpha) * reps < 10.0:
+    if (1.0 - alpha) * reps < 10.0 or _order_stat_index(reps, alpha) >= reps:
         raise ParameterError(
-            f"reps={reps} too small to estimate the {1 - alpha:g}-quantile; "
-            "need (1 - alpha) * reps >= 10")
+            f"reps={reps} too small to estimate the {1 - alpha:g}-quantile; need "
+            "(1 - alpha) * reps >= 10 and a draw above it (ceil((1 - alpha) * reps) < reps)")
 
 
 def _check_critical(value: float, what: str = "critical value") -> None:
@@ -276,8 +280,8 @@ def _null_quantile(sampler: LimitLawSampler, alpha: float,
 def critical_value(sampler: LimitLawSampler, alpha: float, reps: int) -> CriticalValue:
     """Critical value of the level-alpha test from the simulated null law.
 
-    The quantile is :func:`_null_quantile`'s; its standard error is the exact
-    bootstrap one (:func:`_quantile_standard_error`), which draws nothing.
+    The quantile is :func:`_null_quantile`'s, under :func:`_check_quantile_reps`; its standard
+    error is the exact bootstrap one (:func:`_quantile_standard_error`), which draws nothing.
     """
     psi, value = _null_quantile(sampler, alpha, reps)
     return CriticalValue(float(alpha), value, int(reps), int(sampler.seed),

@@ -219,6 +219,14 @@ class TestCritvalCommand:
         assert code == 1
         assert "analytic" in capsys.readouterr().err
 
+    def test_rejects_reps_whose_quantile_is_the_largest_draw(self, tmp_path, capsys):
+        # ceil(0.95 * 15) = 15: the value would be the largest of the 15 draws
+        out = tmp_path / "cv"
+        assert main(["critval", "--reps", "15", "--grid-k", "256", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert "ceil((1 - alpha) * reps) < reps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTestCommand:
     def test_accepting_run_exits_zero(self, tmp_path, capsys):
@@ -356,6 +364,27 @@ class TestTestCommand:
                      "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["replace"], config["grid_k"]) == (True, None)
+
+    def test_manifest_records_the_source_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_test", lambda samples, config, seed=0: TestOutcome(
+            0.0, 1.0, False, 1.0, samples.n, {}))  # simulates nothing
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        out = tmp_path / "out"
+        assert main(["test", "--data", str(data), "--critical-source", "limitlaw",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["reps"], config["grid_k"], config["replace"]) == (100_000, 4096, None)
+
+    def test_resampling_rejects_reps_whose_quantile_is_the_largest_draw(self, tmp_path,
+                                                                       capsys):
+        # ceil(0.999 * 100) = 100, above the source's floor of 100 draws
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        out = tmp_path / "out"
+        assert main(["test", "--null", f"csv:{data}:value", "--data", str(data),
+                     "--critical-source", "resampling", "--alpha", "0.001", "--reps", "100",
+                     "--out", str(out)]) == 1
+        assert "ceil((1 - alpha) * reps) < reps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,61 @@ class TestTailQuantile:
         assert np.all(np.diff(q) >= 0.5 * (1.0 / 9999))
 
 
+class TestLawsFromQuantiles:
+    """sine and tail laws: one helper builds the cdf, density and support from the quantile."""
+
+    X = np.concatenate([[0.0, 0.5, 1.0], np.linspace(-0.1, 1.1, 1201),
+                        np.random.default_rng(5).random(500)])
+    U = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(6).random(500)])
+
+    @staticmethod
+    def check_bits(law, q, slope, lo, hi):
+        # the support ends are in the grid; dividing by a vanishing slope must not warn
+        x = np.concatenate([TestLawsFromQuantiles.X, [lo, hi]])
+        cdf = _bisect(q, x, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            density = np.where((x >= lo) & (x <= hi),
+                               1.0 / slope(_bisect(q, np.clip(x, lo, hi), 0.0, 1.0)), 0.0)
+        assert law.support == (lo, hi)
+        assert law.quantile_fn(TestLawsFromQuantiles.U).tobytes() == q(
+            TestLawsFromQuantiles.U).tobytes()
+        assert law.cdf_fn(x).tobytes() == cdf.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.density_fn(x).tobytes() == density.tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_sine_bits_of_the_explicit_formulas(self, p):
+        # at p = 1 the slope vanishes at u = 1/2, where x = 1/2
+        law = sine_distribution(p)
+        self.check_bits(law, lambda u: u + (p / (2.0 * math.pi)) * np.sin(2.0 * math.pi * u),
+                        lambda u: 1.0 + p * np.cos(2.0 * math.pi * u), 0.0, 1.0)
+        assert law.compact_support_ok == (p < 1.0) and law.quantile_breakpoints == ()
+
+    @pytest.mark.parametrize("p", [0.025, 0.3, 0.5])
+    def test_tail_bits_of_the_explicit_formulas(self, p):
+        amp = 0.45 * (2.0 * p / math.pi)
+
+        def slope(u):
+            return np.where(u <= p, 1.0 - 0.45 * np.sin(math.pi * u / (2.0 * p)),
+                            np.where(u < 1.0 - p, 1.0,
+                                     1.0 - 0.45 * np.sin(math.pi * (1.0 - u) / (2.0 * p))))
+
+        law = tail_distribution(p)
+        self.check_bits(law, lambda u: tail_quantile(p, u), slope, amp, 1.0 - amp)
+        assert law.compact_support_ok and law.quantile_breakpoints == (p, 1.0 - p)
+
+    @pytest.mark.parametrize("build, p", [(sine_distribution, 1.5), (sine_distribution, -0.1),
+                                          (tail_distribution, 0.0), (tail_distribution, 0.6)])
+    def test_parameter_checked_when_built(self, build, p):
+        with pytest.raises(ParameterError, match="requires p in"):
+            build(p)
+
+    def test_sine_zero_is_the_uniform_law(self):
+        assert sine_distribution(0.0).name == "uniform01"
+        assert sine_distribution(0.0).quantile_is_identity
+
+
 class TestSampling:
     def test_deterministic(self):
         a = sample(uniform01(), 5, seed=123)
@@ -492,6 +548,61 @@ class TestSortedUniforms:
             uniform01(), n, 20_000, np.random.default_rng(12))])
         se = stats.std(ddof=1) / math.sqrt(stats.size)
         assert abs(stats.mean() - _exact_uniform_null_mean(weight, n)) <= 4.0 * se
+
+    @pytest.mark.parametrize("null", [sine_distribution(0.5), gaussian(0.0, 1.0, -3.0, 3.0)],
+                             ids=["sine0.5", "gaussian-trunc3"])
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_exact_mean_under_a_non_uniform_null(self, null, n):
+        # one set of draws per null, scored under both weights; over seeds 0 to 29,
+        # z = (mean - exact) / SE had standard deviation 0.93 to 1.06 and |z| <= 2.6
+        weights = (lebesgue(), quadratic_weight(2.0, trim=0.05))
+        plans = [plan_scaled_statistic(null, omega, n) for omega in weights]
+        stats = [[], []]
+        for block in _sorted_blocks(null, n, 20_000, np.random.default_rng(12)):
+            for scored, plan in zip(stats, plans):
+                scored.append(scaled_statistics(block, plan))
+        for omega, scored in zip(weights, stats):
+            scored = np.concatenate(scored)
+            se = scored.std(ddof=1) / math.sqrt(scored.size)
+            assert abs(scored.mean() - _exact_null_mean(null, omega, n)) <= 4.0 * se
+
+    def test_exact_null_mean_reproduces_the_uniform_closed_form(self):
+        for omega in (lebesgue(), quadratic_weight(2.0, trim=0.05)):
+            for n in (10, 1000):
+                got = _exact_null_mean(uniform01(), omega, n)
+                assert got == pytest.approx(_exact_uniform_null_mean(omega, n), rel=1e-8)
+
+
+def _exact_null_mean(null, omega, n: int) -> float:
+    """``E[n W2^2]`` of n draws from an analytic null against it, by quadrature.
+
+    On slot j, ((j-1)/n, j/n), the empirical quantile is ``X_(j) = Q(U_(j))`` with
+    ``U_(j)`` ~ Beta(j, n + 1 - j), so the mean is
+    ``n sum_j (A_j E X_(j)^2 - 2 B_j E X_(j) + C_j)``, where A_j, B_j and C_j integrate
+    omega, omega Q and omega Q^2 over slot j cut to the window (64 Gauss-Legendre nodes),
+    and ``E X_(j)^k`` integrates ``Q^k`` against the Beta density over its mean +- 20 SD
+    (256 nodes; the mass left out is below 1e-9).
+    """
+    from scipy.special import betaln
+
+    t, w = np.polynomial.legendre.leggauss(64)
+    j = np.arange(1, n + 1)[:, None]
+    lo, hi = omega.window
+    a, b = np.clip((j - 1) / n, lo, hi), np.clip(j / n, lo, hi)
+    u = a + (b - a) * (t + 1.0) / 2.0
+    slot = (b - a) / 2.0 * w * omega.density(u)
+    q = null.quantile_fn(u)
+    tb, wb = np.polynomial.legendre.leggauss(256)
+    mean = j / (n + 1.0)
+    sd = np.sqrt(j * (n + 1.0 - j) / ((n + 1.0) ** 2 * (n + 2.0)))
+    v_lo, v_hi = np.maximum(mean - 20.0 * sd, 0.0), np.minimum(mean + 20.0 * sd, 1.0)
+    v = v_lo + (v_hi - v_lo) * (tb + 1.0) / 2.0
+    beta = (v_hi - v_lo) / 2.0 * wb * np.exp(
+        (j - 1) * np.log(v) + (n - j) * np.log1p(-v) - betaln(j, n + 1 - j))
+    qv = null.quantile_fn(v)
+    first, second = (beta * qv).sum(axis=1), (beta * qv * qv).sum(axis=1)
+    return n * float(np.sum(slot.sum(axis=1) * second - 2.0 * (slot * q).sum(axis=1) * first
+                            + (slot * q * q).sum(axis=1)))
 
 
 def _exact_uniform_null_mean(omega, n: int) -> float:

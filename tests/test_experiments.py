@@ -250,7 +250,7 @@ class TestWeightComparison:
         shared = dict(p_grid=(0.3,), gammas=(10.0,), n=5000, trials=40, seed=99)
         ks_table = run_ks_comparison(ComparisonConfig(family="tail", **shared))
         w_table = run_weight_comparison(WeightComparisonConfig(
-            a_values=(0.0,), family="tail", law_reps=11, grid_k=64, **shared))
+            a_values=(0.0,), family="tail", law_reps=20, grid_k=64, **shared))
         assert (w_table.cell("power", 0.0, 0.3, 10.0).value
                 == ks_table.cell("power_w2", 0.3, 10.0).value)
 
@@ -323,7 +323,8 @@ OUT_OF_DOMAIN = {
                            family=st.text().filter(lambda f: f not in ("sine", "tail"))),
     WeightComparisonConfig: dict(_SHARED, critical_lebesgue=_BAD_CRITICAL, grid_k=_BAD_GRID_K,
                                  alpha=_NONPOSITIVE | st.floats(min_value=1.0),
-                                 law_reps=st.integers(max_value=10),  # (1 - 0.05) * 10 < 10
+                                 # (1 - 0.05) * 10 < 10, and ceil(0.95 * 19) = 19
+                                 law_reps=st.integers(max_value=19),
                                  gammas=_with_one(_NEGATIVE),
                                  a_values=_with_one(_NEGATIVE | st.floats(min_value=12.0),
                                                     st.floats(0.0, 11.0)),

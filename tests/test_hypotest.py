@@ -341,6 +341,20 @@ class TestResamplingCriticalValue:
         with pytest.raises(ParameterError, match="too small"):
             resampling_critical_value(ref, 10, 0.05, 10, seed=19)
 
+    def test_sample_size_checked_by_the_plan(self):
+        ref = sample(uniform01(), 100, seed=18)
+        with pytest.raises(ParameterError, match="^sample size must be >= 1$"):
+            resampling_critical_value(ref, 0, 0.05, 100, seed=19)
+
+    def test_source_never_reads_the_largest_draw(self, monkeypatch):
+        # ceil(0.999 * 100) = 100 passes the source's own floor of 100 draws, but the
+        # 0.999-quantile would be the top draw: rejected before any sample is redrawn
+        monkeypatch.setattr(hypotest, "_sorted_blocks", lambda *a: pytest.fail("drew"))
+        ref = sample(uniform01(), 200, seed=30)
+        config = TestConfig(ref, alpha=0.001, critical_source=ResamplingCritical(reps=100))
+        with pytest.raises(ParameterError, match="too small"):
+            run_test(ref, config, seed=31)
+
     def test_without_replacement_needs_enough(self):
         ref = sample(uniform01(), 50, seed=20)
         with pytest.raises(ParameterError, match="without replacement"):
@@ -376,8 +390,8 @@ class TestResamplingExactMean:
         # and |z| <= 3.2 (n = 7 and 150 without replacement: z = 0.4 and 0.3 at 10^6 and
         # 4 * 10^5 draws); the bound is 4 SE at seed 41
         plan = plan_scaled_statistic(self.REF, omega, n)
-        stats = hypotest._reference_statistics(hypotest._w2_statistic(plan), self.REF, n,
-                                               self.REPS, derive_rng(41, "exact-mean"), replace)
+        stats = hypotest._resampled_critical(self.REF, omega, n, 0.05, self.REPS,
+                                             derive_rng(41, "exact-mean"), replace)[1]
         se = stats.std(ddof=1) / math.sqrt(self.REPS)
         assert abs(stats.mean() - _exact_resampled_mean(self.REF, plan, replace)) <= 4.0 * se
 
@@ -394,6 +408,13 @@ class TestResamplingPower:
         shifted = EmpiricalDistribution(ref.values + 0.5)
         power = resampling_power(ref, shifted, 10, 0.05, trials=200, reps=400, seed=25)
         assert power == 1.0
+
+    def test_needs_ten_draws_at_or_below_the_quantile(self, monkeypatch):
+        # (1 - 0.5) * 19 < 10, though the quantile, the 10th of 19 draws, is not the top one
+        monkeypatch.setattr(hypotest, "_sorted_blocks", lambda *a: pytest.fail("drew"))
+        ref = sample(uniform01(), 200, seed=32)
+        with pytest.raises(ParameterError, match="too small"):
+            resampling_power(ref, ref, 10, 0.5, trials=20, reps=19, seed=33)
 
     def test_one_plan_per_call(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import of a package module is used or exported."""
+"""Source hygiene: every module-level import of a package module is used or exported,
+and no invariant rests on an ``assert`` statement, which ``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,23 @@ def test_catches_an_import_left_behind():
               "def run():\n"
               "    return lebesgue()\n")
     assert unused_imports(source) == ["np (line 1)", "w2_weighted_squared (line 2)"]
+
+
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_assert_statement(path):
+    # a check must raise under python -O too
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_catches_an_assert():
+    source = ("def run(x):\n"
+              "    if x:\n"
+              "        assert x > 0, 'x must be positive'\n"
+              "    return x\n")
+    assert assert_lines(source) == [3]

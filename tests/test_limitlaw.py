@@ -245,6 +245,27 @@ class TestCriticalValue:
         with pytest.raises(ParameterError, match="reps"):
             critical_value(make_sampler(), 0.05, 5)
 
+    @pytest.mark.parametrize("reps", [11, 15, 19])
+    def test_the_largest_draw_is_never_the_quantile(self, monkeypatch, reps):
+        # (1 - 0.05) * reps >= 10, but ceil(0.95 * reps) = reps: the top draw would be
+        # read as the 0.95-quantile, so every consumer rejects before a bridge is drawn
+        monkeypatch.setattr(wshift.limitlaw, "_bridge_batch", lambda *a: pytest.fail("drew"))
+        rule = r"ceil\(\(1 - alpha\) \* reps\) < reps"
+        s = make_sampler(signal=sine_distribution(0.5), k=256, seed=1)
+        with pytest.raises(ParameterError, match=rule):
+            critical_value(s, 0.05, reps)
+        with pytest.raises(ParameterError, match=rule):
+            theoretical_type2(s, 3.0, 0.05, reps, critical=None)
+        with pytest.raises(ParameterError, match=rule):
+            WeightComparisonConfig(law_reps=reps)
+
+    def test_twenty_draws_suffice_at_five_percent(self):
+        # the 19th smallest of 20 draws (0x1.1624da1223b05p-2 on x86-64)
+        s = make_sampler(k=256, seed=1)
+        cv = critical_value(s, 0.05, 20)
+        assert cv.value == np.sort(sample_psi_null(s, 20))[18]
+        assert cv.value == pytest.approx(0.27162495361055533, rel=1e-12)
+
     def test_null_quantile_is_the_critical_value(self):
         s = make_sampler(k=256, seed=6)
         psi, value = _null_quantile(s, 0.05, 3000)
