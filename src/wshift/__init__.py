@@ -13,7 +13,6 @@ from .distributions import (
     AnalyticDistribution,
     EmpiricalDistribution,
     affine,
-    empirical_quantile,
     gaussian,
     sample,
     sine_distribution,
@@ -68,13 +67,10 @@ from .limitlaw import (
 from .transport import (
     Histogram,
     WeightMeasure,
-    custom_weight,
     displacement_interpolate,
     lebesgue,
-    linear_interpolate,
     quadratic_weight,
     relative_distance_curve,
-    transport_map,
     tv_distance,
     w2_weighted,
     w2_weighted_squared,

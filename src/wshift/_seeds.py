@@ -1,10 +1,12 @@
 """Labeled derivation of independent RNG streams from a single root seed.
 
-Every stochastic routine in the package takes one 64-bit root seed and
-derives its own stream by hashing a tuple of string/number labels into a
+Every stochastic routine in the package takes one root seed in [0, 2^64)
+and derives its own stream by hashing a tuple of string/number labels into a
 ``numpy.random.SeedSequence``. Two streams with different labels are
 statistically independent, and the mapping is stable across processes and
-platforms (no use of Python's builtin ``hash``).
+platforms (no use of Python's builtin ``hash``). A root seed outside that
+range is rejected rather than reduced, so no two recorded seeds share a
+stream; integer labels are reduced modulo 2^64.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+from .errors import ParameterError
 
 
 def _label_key(label) -> int:
@@ -25,7 +29,10 @@ def _label_key(label) -> int:
 
 def seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
     """SeedSequence for the stream identified by ``labels`` under ``seed``."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    root = int(seed)
+    if not 0 <= root <= 0xFFFFFFFFFFFFFFFF:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
+    entropy = [root]
     entropy.extend(_label_key(lab) for lab in labels)
     return np.random.SeedSequence(entropy)
 

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import __version__
 from ._io import atomic_write_text, sha256_file
-from ._seeds import derive_seed
+from ._seeds import derive_seed, seed_sequence
 from .distributions import (
     Distribution,
     EmpiricalDistribution,
@@ -101,7 +101,7 @@ from .transport import (
     tv_distance,
 )
 
-__all__ = ["main", "ingest_csv", "CsvSchema", "ObservationTable", "RunManifest"]
+__all__ = ["main", "ingest_csv", "CsvSchema", "ObservationTable"]
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +355,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 # Run manifest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: list[str]
-    config: dict
-    seed: int
-    tool_version: str
-    input_digests: dict
-    started_at: str
-    finished_at: str
-    outputs: list[str]
-
-    def write(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.__dict__, indent=2) + "\n")
-
-
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
@@ -400,19 +385,20 @@ class _OutputSink:
         self.write_json(stem + ".json", table.to_dict())
 
     def finish(self) -> None:
+        """Write ``manifest.json``, which is not listed among the outputs."""
         if self.dir is None:
             return
-        manifest = RunManifest(
-            command=self.argv,
-            config=self.config,
-            seed=self.seed,
-            tool_version=__version__,
-            input_digests=self.inputs,
-            started_at=self.started,
-            finished_at=_utc_now(),
-            outputs=self.outputs,
-        )
-        manifest.write(self.dir / "manifest.json")
+        manifest = {
+            "command": self.argv,
+            "config": self.config,
+            "seed": self.seed,
+            "tool_version": __version__,
+            "input_digests": self.inputs,
+            "started_at": self.started,
+            "finished_at": _utc_now(),
+            "outputs": self.outputs,
+        }
+        atomic_write_text(self.dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +474,27 @@ class _Options:
             for key, raw in file_values.items():
                 if key not in known:
                     raise ParameterError(f"config file: unknown key {key!r}")
-                _, conv, _ = self.specs[known[key]]
-                values[known[key]] = conv(raw)
-        for dest, (_, conv, _) in self.specs.items():
+                values[known[key]] = self._convert(known[key], raw, "config file: ")
+        for dest in self.specs:
             raw = getattr(args, dest)
             if raw is not None:
-                values[dest] = conv(raw)
+                values[dest] = self._convert(dest, raw, "--")
         return values
+
+    def _convert(self, dest: str, raw: str, where: str):
+        """The option's value read from ``raw``; an unreadable one is a :class:`ParameterError`."""
+        key, conv, _ = self.specs[dest]
+        try:
+            return conv(raw)
+        except ValueError as exc:  # a ParameterError too: its message gains the option
+            raise ParameterError(f"{where}{key}: {exc}") from None
+
+
+def _root_seed(text) -> int:
+    """A root seed, rejected here when out of range even if the command draws nothing."""
+    seed = int(text)
+    seed_sequence(seed)
+    return seed
 
 
 def _bool(text) -> bool:
@@ -509,7 +509,7 @@ def _bool(text) -> bool:
 
 
 def _common_options(opts: _Options, *, alpha=True, reps=None, trials=None, grid_k=None):
-    opts.add("--seed", int, 0)
+    opts.add("--seed", _root_seed, 0)
     if alpha:
         opts.add("--alpha", float, 0.05)
     for flag, default in (("--reps", reps), ("--trials", trials), ("--grid-k", grid_k)):
@@ -660,7 +660,7 @@ def _cmd_interpolate(opts_values: dict, argv: list[str]) -> int:
     # histograms of the endpoints on one pooled binning
     series = [displacement_interpolate(p0, p1, float(t)) for t in ts]
     try:
-        w2_curve = relative_distance_curve(series, "w2")
+        w2_curve = relative_distance_curve(series)
     except ParameterError:  # the only failure here: the endpoints coincide
         raise ParameterError("source and target coincide; no path to interpolate") from None
     edges = _fd_edges(np.concatenate([p0.values, p1.values]))

@@ -9,7 +9,9 @@ infinite end means the quantile diverges there), ``quantile_breakpoints``
 (the quantile is constant between its breakpoints, as a sample's is).
 Distances, transport paths, statistics and limit laws read these fields
 and need not know which kind of law they hold, and every law is drawn by
-:func:`_sorted_blocks`. The public :meth:`quantile` / :meth:`cdf` methods add
+:func:`_sorted_blocks`. A law given by its quantile alone (a perturbation
+family, a displacement) gets its CDF from :func:`_bisect` over a fixed
+bracket. The public :meth:`quantile` / :meth:`cdf` methods add
 domain validation and scalar passthrough on top of the callables.
 
 Analytic laws (:class:`AnalyticDistribution`) store the fields directly;
@@ -65,7 +67,6 @@ __all__ = [
     "AnalyticDistribution",
     "EmpiricalDistribution",
     "Distribution",
-    "empirical_quantile",
     "sine_quantile",
     "tail_quantile",
     "uniform01",
@@ -208,11 +209,6 @@ class EmpiricalDistribution:
 Distribution = Union[AnalyticDistribution, EmpiricalDistribution]
 
 
-def empirical_quantile(d: EmpiricalDistribution, u):
-    """Quantile of an empirical distribution (see :meth:`EmpiricalDistribution.quantile`)."""
-    return d.quantile(u)
-
-
 # ---------------------------------------------------------------------------
 # Quantile perturbation families
 # ---------------------------------------------------------------------------
@@ -262,18 +258,19 @@ def _tail_quantile_slope(p: float, u: np.ndarray) -> np.ndarray:
 # Monotone inversion (vectorized bisection)
 # ---------------------------------------------------------------------------
 
-def _bisect(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi) -> np.ndarray:
+def _bisect(fn: Callable[[np.ndarray], np.ndarray], target, lo: float,
+            hi: float) -> np.ndarray:
     """Generalized inverse ``inf{z in [lo, hi] : fn(z) >= target}`` of a nondecreasing fn.
 
-    ``lo`` and ``hi`` (numbers, or arrays shaped like ``target``) must bracket
-    the result. The upper end keeps ``fn(hi) >= target``, so step functions
-    invert to the left end of each step. Each point stops once its own bracket
-    is narrower than 1e-14 times ``max(1, |hi|)``, so an elementwise ``fn``
-    inverts a point alike alone or in any array; the upper end is returned.
+    The numbers ``lo`` and ``hi`` must bracket the result. The upper end keeps
+    ``fn(hi) >= target``, so step functions invert to the left end of each
+    step. Each point stops once its own bracket is narrower than 1e-14 times
+    ``max(1, |hi|)``, so an elementwise ``fn`` inverts a point alike alone or
+    in any array; the upper end is returned.
     """
     t = np.asarray(target, dtype=float)
-    lo = np.array(np.broadcast_to(lo, t.shape), dtype=float)
-    hi = np.array(np.broadcast_to(hi, t.shape), dtype=float)
+    lo = np.full(t.shape, lo, dtype=float)
+    hi = np.full(t.shape, hi, dtype=float)
     for _ in range(200):
         open_ = hi - lo > 1e-14 * np.maximum(1.0, np.abs(hi))
         if not open_.any():

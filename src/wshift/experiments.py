@@ -35,12 +35,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
 
-from ._io import atomic_write_text
 from ._seeds import derive_rng, derive_seed
 from .distributions import (
     AnalyticDistribution,
@@ -139,12 +137,6 @@ class ResultTable:
             writer.writerow([*(f"{a:.10g}" for a in c.axes), c.metric,
                              f"{c.value:.10g}", f"{c.se:.10g}", c.trials])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        atomic_write_text(path, self.csv_text())
-
-    def write_json(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def _binomial_se(value: float, trials: int) -> float:

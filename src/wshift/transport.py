@@ -1,4 +1,4 @@
-"""Weighted Wasserstein distances, weight measures, and interpolation paths.
+"""Weighted Wasserstein distances, weight measures, and the displacement path.
 
 Distances between one-dimensional laws are integrals of a function of their
 quantiles over the unit interval. The integrator partitions (0, 1) at
@@ -8,10 +8,9 @@ rules:
 
 * when every law's quantile is a step function (a data sample, or the
   displacement between two), each segment gets one midpoint carrying
-  its omega-mass (the antiderivative of a polynomial weight density, one
-  Gauss-Legendre panel of any other);
-* against the identity quantile under a polynomial weight, each sample slot
-  takes closed-form moments about its midpoint;
+  its omega-mass (the antiderivative of the weight's polynomial density);
+* against the identity quantile, each sample slot takes closed-form
+  moments of the weight about its midpoint;
 * everything else takes 8-node Gauss-Legendre panels no wider than 1/32,
   with geometric refinement toward the window endpoints so that the mild
   endpoint singularities of bounded quantiles (e.g. truncated Gaussians)
@@ -21,22 +20,22 @@ rules:
 ``_quadrature`` gives the points of the first and third rules. The batched
 statistic ``n W2^2(sample, null)`` has one plan layout for every null (see
 :class:`StatisticPlan`); a single sample is scored with it against the
-identity quantile under a polynomial weight, and other distances integrate
-the gap directly. Every sum of products is an einsum (``_dot``, or
-``_row_dots`` for blocks of rows), whose rounding does not follow the core
-count.
+identity quantile, and other distances integrate the gap directly. Every
+sum of products is an einsum (``_dot``, or ``_row_dots`` for blocks of
+rows), whose rounding does not follow the core count.
 
-The module also provides the monotone transport map, displacement and
-linear (mixture) interpolation between two laws, total-variation distance
-on binned data, and relative-distance curves along a series of samples.
+The module also provides displacement interpolation between two laws,
+along which ``wp_distance`` grows linearly for every p, the total-variation
+distance between two histograms on one binning, and the relative W2
+distance curve along a series of laws.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,24 +43,20 @@ from .distributions import (
     AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
-    _bisect,
     _cdf_from_quantile,
 )
-from .errors import DomainError, ParameterError, UnboundedSupportError
+from .errors import ParameterError, UnboundedSupportError
 
 __all__ = [
     "WeightMeasure",
     "lebesgue",
     "quadratic_weight",
-    "custom_weight",
     "Histogram",
     "w2_weighted",
     "w2_weighted_squared",
     "wp_distance",
     "tv_distance",
-    "transport_map",
     "displacement_interpolate",
-    "linear_interpolate",
     "relative_distance_curve",
     "StatisticPlan",
     "plan_scaled_statistic",
@@ -75,31 +70,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightMeasure:
-    """A finite measure on (0, 1) given by a density, with optional trimming.
+    """A measure on (0, 1) with a polynomial density, with optional trimming.
 
-    ``poly`` holds ascending polynomial coefficients of the density when it
-    is polynomial (enables exact segment integrals); ``trim`` restricts the
-    measure to the window [trim, 1 - trim], outside which the density is
-    treated as zero. ``total_mass`` is the integral of the untrimmed
-    density over (0, 1).
+    ``poly`` holds the ascending coefficients of the density (so segment
+    integrals are exact); ``trim`` restricts the measure to the window
+    [trim, 1 - trim], outside which the density is treated as zero.
     """
 
     tag: str
-    density_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    poly: Optional[tuple[float, ...]]
-    total_mass: float
+    poly: tuple[float, ...]
     trim: float = 0.0
     a: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 <= self.trim < 0.5):
             raise ParameterError(f"trim must lie in [0, 0.5), got {self.trim}")
-        if self.total_mass <= 0.0:
-            raise ParameterError("weight measure must have positive mass")
 
     @property
     def window(self) -> tuple[float, float]:
         return (self.trim, 1.0 - self.trim)
+
+    def density_fn(self, u: np.ndarray) -> np.ndarray:
+        """The untrimmed density."""
+        return _polyval(np.asarray(self.poly, dtype=float), np.asarray(u, dtype=float))
 
     def density(self, u):
         """Density including the trim window (zero outside it)."""
@@ -115,14 +108,9 @@ class WeightMeasure:
         return d
 
 
-def _poly_density(coeffs: tuple[float, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    c = np.asarray(coeffs, dtype=float)
-    return lambda u: np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), c)
-
-
 def lebesgue(trim: float = 0.0) -> WeightMeasure:
     """Uniform weight on (0, 1); the weighted distance then equals plain W2."""
-    return WeightMeasure("lebesgue", _poly_density((1.0,)), (1.0,), 1.0, trim)
+    return WeightMeasure("lebesgue", (1.0,), trim)
 
 
 def quadratic_weight(a: float, trim: float = 0.0) -> WeightMeasure:
@@ -134,15 +122,7 @@ def quadratic_weight(a: float, trim: float = 0.0) -> WeightMeasure:
     if not (0.0 <= a < 12.0):
         raise ParameterError(f"quadratic weight requires a in [0, 12), got {a}")
     coeffs = (1.0 + a / 6.0, -a, a)  # expansion of a(u - 1/2)^2 + 1 - a/12
-    return WeightMeasure("quadratic", _poly_density(coeffs), coeffs, 1.0, trim, a=float(a))
-
-
-def custom_weight(density: Callable, trim: float = 0.0, tag: str = "custom") -> WeightMeasure:
-    """Weight measure from an arbitrary nonnegative density on (0, 1)."""
-    fn = lambda u: np.asarray(density(np.asarray(u, dtype=float)), dtype=float)
-    nodes, wts = _panel_nodes(np.array([0.0, 1.0]), max_panel=1.0 / 64.0)
-    mass = _dot(fn(nodes), wts)
-    return WeightMeasure(tag, fn, None, mass, trim)
+    return WeightMeasure("quadratic", coeffs, trim, a=float(a))
 
 
 def _antiderivative(poly: Sequence[float]) -> np.ndarray:
@@ -208,8 +188,7 @@ def _panel_layout(edges: np.ndarray, max_panel: float) -> tuple[np.ndarray, np.n
     return _refine_panels(lefts, widths)
 
 
-def _panel_nodes(edges: np.ndarray,
-                 max_panel: float = _DEFAULT_MAX_PANEL) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(edges: np.ndarray, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
     """Flattened Gauss-Legendre nodes and weights for the panel layout."""
     lefts, widths = _panel_layout(edges, max_panel)
     half = 0.5 * widths
@@ -264,21 +243,14 @@ def _quadrature(edges: np.ndarray, omega: WeightMeasure, *laws: Distribution,
 
     ``edges`` must hold every quantile breakpoint of the laws. When every
     law's quantile is constant between them (a data sample, or the
-    displacement between two), each segment gets its midpoint and its
-    omega-mass (exact for a polynomial density); otherwise the points are
-    Gauss-Legendre panel nodes.
+    displacement between two), each segment gets its midpoint and its exact
+    omega-mass; otherwise the points are Gauss-Legendre panel nodes.
     """
     if not all(d.quantile_is_step for d in laws):
         nodes, wts = _panel_nodes(edges, max_panel)
         return nodes, omega.density_fn(nodes) * wts
     mids = 0.5 * (edges[:-1] + edges[1:])
-    if omega.poly is not None:
-        return mids, np.diff(_polyval(_antiderivative(omega.poly), edges))
-    half = 0.5 * np.diff(edges)
-    gl_x, gl_w = _gauss_legendre()
-    nodes = edges[:-1, None] + half[:, None] * (gl_x + 1.0)[None, :]
-    vals = omega.density_fn(nodes.ravel()).reshape(nodes.shape)
-    return mids, _row_dots(vals, gl_w) * half
+    return mids, np.diff(_polyval(_antiderivative(omega.poly), edges))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +272,8 @@ def w2_weighted_squared(mu: Distribution, nu: Distribution,
     _check_integrable(mu, omega)
     _check_integrable(nu, omega)
     sample, other = (mu, nu) if isinstance(mu, EmpiricalDistribution) else (nu, mu)
-    if (isinstance(sample, EmpiricalDistribution) and other.quantile_is_identity
-            and omega.poly is not None):  # the closed-form plan is O(n) and exact per slot
+    if isinstance(sample, EmpiricalDistribution) and other.quantile_is_identity:
+        # the closed-form plan is O(n) and exact per slot
         plan = plan_scaled_statistic(other, omega, sample.n)
         return float(scaled_statistics(sample.values[None, :], plan)[0]) / sample.n
     return _gap_power_integral(mu, nu, omega, 2.0)
@@ -381,81 +353,18 @@ def _fd_edges(pooled: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, nbins + 1)
 
 
-def _bin_empirical(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    if values.min() < edges[0] or values.max() > edges[-1]:
-        raise ParameterError("binning does not cover the sample support")
-    counts, _ = np.histogram(values, bins=edges)
-    return counts / counts.sum()
-
-
-def tv_distance(mu, nu, bins="fd") -> float:
-    """Total variation distance between binned representations.
-
-    Both arguments may be :class:`EmpiricalDistribution` or
-    :class:`Histogram`. Two histograms must share their binning; empirical
-    inputs are binned on the common edges (``bins`` may be ``"fd"`` for
-    Freedman-Diaconis on the pooled sample, an integer bin count, or
-    explicit edges).
-    """
-    if isinstance(mu, Histogram) and isinstance(nu, Histogram):
-        if not np.array_equal(mu.edges, nu.edges):
-            raise ParameterError("histograms must share a common binning")
-        return 0.5 * float(np.abs(mu.probabilities - nu.probabilities).sum())
-
-    if isinstance(mu, Histogram) or isinstance(nu, Histogram):
-        hist, emp = (mu, nu) if isinstance(mu, Histogram) else (nu, mu)
-        p = hist.probabilities
-        q = _bin_empirical(emp.values, hist.edges)
-        return 0.5 * float(np.abs(p - q).sum())
-
-    pooled = np.concatenate([mu.values, nu.values])
-    if isinstance(bins, str):
-        if bins != "fd":
-            raise ParameterError(f"unknown binning spec {bins!r}")
-        edges = _fd_edges(pooled)
-    elif np.isscalar(bins):
-        if int(bins) < 1:
-            raise ParameterError("bin count must be positive")
-        edges = np.linspace(pooled.min(), pooled.max(), int(bins) + 1)
-        if edges[0] == edges[-1]:
-            edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if np.any(np.diff(edges) <= 0.0):
-            raise ParameterError("histogram edges must be strictly increasing (zero-width bin)")
-    p = _bin_empirical(mu.values, edges)
-    q = _bin_empirical(nu.values, edges)
-    return 0.5 * float(np.abs(p - q).sum())
+def tv_distance(mu: Histogram, nu: Histogram) -> float:
+    """Total variation distance between two histograms on one binning."""
+    if not np.array_equal(mu.edges, nu.edges):
+        raise ParameterError("histograms must share a common binning")
+    return 0.5 * float(np.abs(mu.probabilities - nu.probabilities).sum())
 
 
 # ---------------------------------------------------------------------------
-# Transport map and interpolation paths
+# Displacement interpolation
 # ---------------------------------------------------------------------------
 
 _CDF_CLIP = 2.0 ** -54
-
-
-def transport_map(source: AnalyticDistribution, target: Distribution) -> Callable:
-    """The monotone map pushing ``source`` forward to ``target``.
-
-    Returns a callable ``T(x) = G^{-1}(F(x))`` defined on the support of
-    the source; evaluation outside the support raises a domain error.
-    """
-    slo, shi = source.support
-    target_q = target.quantile_fn
-    source_cdf = source.cdf_fn
-
-    def T(x):
-        scalar = np.isscalar(x)
-        xx = np.asarray(x, dtype=float)
-        if np.any((xx < slo) | (xx > shi)):
-            raise DomainError(
-                f"transport map of {source.name} is defined on [{slo:g}, {shi:g}]")
-        u = np.clip(source_cdf(xx), _CDF_CLIP, 1.0 - _CDF_CLIP)
-        out = target_q(u)
-        return float(out) if scalar else out
-
-    return T
 
 
 def displacement_interpolate(source: Distribution, target: Distribution,
@@ -495,70 +404,18 @@ def displacement_interpolate(source: Distribution, target: Distribution,
     )
 
 
-def linear_interpolate(source: Distribution, target: Distribution,
-                       gamma: float) -> Distribution:
-    """Mixture law with cdf ``(1 - gamma) F + gamma G``."""
-    if not (0.0 <= gamma <= 1.0):
-        raise ParameterError(f"mixture parameter must lie in [0, 1], got {gamma}")
-    if gamma == 0.0:
-        return source
-    if gamma == 1.0:
-        return target
-    g = float(gamma)
-    fa, fb = source.cdf_fn, target.cdf_fn
-    qa, qb = source.quantile_fn, target.quantile_fn
+def relative_distance_curve(series: Sequence[Distribution]) -> list[float]:
+    """W2 distances from the first element, normalized by the first-to-last distance.
 
-    def cdf(x):
-        return (1.0 - g) * fa(x) + g * fb(x)
-
-    def quantile(u):  # the mixture's quantile lies between the two quantiles
-        va, vb = qa(u), qb(u)
-        return _bisect(cdf, u, np.minimum(va, vb), np.maximum(va, vb))
-
-    dens = None
-    da, db = source.density_fn, target.density_fn
-    if da is not None and db is not None:
-        dens = lambda x: (1.0 - g) * da(x) + g * db(x)
-
-    slo_a, shi_a = source.support
-    slo_b, shi_b = target.support
-    return AnalyticDistribution(
-        name=f"mixture({source.name},{target.name},{g:g})",
-        cdf_fn=cdf,
-        quantile_fn=quantile,
-        density_fn=dens,
-        support=(min(slo_a, slo_b), max(shi_a, shi_b)),
-        compact_support_ok=False,
-    )
-
-
-def relative_distance_curve(series: Sequence[Distribution],
-                            metric: str = "w2", bins="fd") -> list[float]:
-    """Distances from the first element, normalized by the first-to-last distance.
-
-    ``metric`` is one of ``"w2"``, ``"w1"``, ``"tv"``; TV bins samples, so
-    it needs empirical laws, and uses a binning shared across the whole
-    series (pooled Freedman-Diaconis by default).
     The first element is 0 and the last is 1 by construction.
     """
     if len(series) < 2:
         raise ParameterError("relative distance curve needs at least two distributions")
-    first, last = series[0], series[-1]
-    if metric == "w2":
-        dist = lambda x: w2_weighted(first, x)
-    elif metric == "w1":
-        dist = lambda x: wp_distance(first, x, 1.0)
-    elif metric == "tv":
-        if isinstance(bins, str) and bins == "fd":
-            pooled = np.concatenate([d.values for d in series])
-            bins = _fd_edges(pooled)
-        dist = lambda x: tv_distance(first, x, bins=bins)
-    else:
-        raise ParameterError(f"unknown metric {metric!r}; use w2, w1 or tv")
-    denom = dist(last)
+    first = series[0]
+    denom = w2_weighted(first, series[-1])
     if denom == 0.0:
-        raise ParameterError(f"endpoints coincide under metric {metric!r}")
-    out = [dist(d) / denom for d in series]
+        raise ParameterError("endpoints coincide under W2")
+    out = [w2_weighted(first, d) / denom for d in series]
     out[0] = 0.0
     out[-1] = 1.0
     return out
@@ -612,7 +469,7 @@ def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
     # moments of the null quantile's deviation from its value at each slot's
     # midpoint, so a slot where it is constant gets that value as its exact center
     base = null.quantile_fn(mid)
-    if null.quantile_is_identity and omega.poly is not None:
+    if null.quantile_is_identity:
         m0, s1, s2 = _identity_slot_moments(omega.poly, mid, 0.5 * np.diff(grid))
     else:
         # the null's breakpoints (an empirical null's jumps included) split the

@@ -208,6 +208,8 @@ class TestCritvalCommand:
         payload = json.loads((out / "critval.json").read_text())
         assert abs(payload["critical_value"] - value) < 1e-9
         manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "seed", "tool_version", "input_digests",
+                                  "started_at", "finished_at", "outputs"]
         assert manifest["outputs"] == ["critval.json"]
         assert manifest["seed"] == 4
         assert manifest["command"][1] == "critval"
@@ -226,6 +228,22 @@ class TestCritvalCommand:
                      "--out", str(out)]) == 1
         assert "ceil((1 - alpha) * reps) < reps" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_rejects_a_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # reduced modulo 2^64, -1 would draw the streams of 2^64 - 1 and 2^64 those of 0
+        out = tmp_path / "cv"
+        assert main(["critval", "--reps", "200", "--grid-k", "64", "--seed", seed,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"wshift critval: error: --seed: seed must lie in [0, 2^64), got {seed}\n")
+        assert not out.exists()
+
+    def test_accepts_the_largest_64_bit_seed(self, tmp_path, capsys):
+        out = tmp_path / "cv"
+        assert main(["critval", "--reps", "200", "--grid-k", "64",
+                     "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2 ** 64 - 1
 
 
 class TestTestCommand:
@@ -415,6 +433,28 @@ class TestConfigPrecedence:
         assert not out.exists()
 
 
+class TestUnreadableValues:
+    """A scalar option value that does not parse is one error line naming the option."""
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["phase", "--n", "abc"], None, "--n"),
+        (["critval", "--reps", "1e5"], None, "--reps"),
+        (["test", "--alpha", "x"], None, "--alpha"),
+        (["phase"], "n = abc\n", "config file: n"),
+    ], ids=["phase-n", "critval-reps", "test-alpha", "config-file-n"])
+    def test_exits_one_before_any_output(self, tmp_path, capsys, argv, config, named):
+        if config is not None:
+            conf = tmp_path / "conf.txt"
+            conf.write_text(config)
+            argv = [*argv, "--config", str(conf)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"wshift {argv[0]}: error: {named}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert main(["no-such-command"]) == 2
@@ -515,9 +555,22 @@ class TestInterpolateCommand:
         last = [float(x) for x in lines[-1].split(",")]
         assert first == [0.0, 0.0, 0.0]
         assert last == [1.0, 1.0, 1.0]
-        # displacement path is a geodesic: relative distances grow linearly
-        mid = [float(x) for x in lines[6].split(",")]
-        assert abs(mid[1] - mid[0]) < 1e-6
+        # along both paths each relative distance is its t: W2 grows linearly on
+        # the geodesic, TV linearly along the mix of the two histograms
+        for line in lines[1:]:
+            t, w2_relative, tv_relative = (float(x) for x in line.split(","))
+            assert abs(w2_relative - t) <= 1e-9
+            assert abs(tv_relative - t) <= 1e-9
+
+    def test_rejects_a_seed_outside_64_bits(self, tmp_path, capsys):
+        # the command draws nothing, but its manifest would record the seed
+        src = write_sample_csv(tmp_path / "a.csv", [1.0, 2.0, 3.0])
+        tgt = write_sample_csv(tmp_path / "b.csv", [2.0, 4.0, 5.0])
+        out = tmp_path / "interp"
+        assert main(["interpolate", "--source", str(src), "--target", str(tgt),
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert "error: --seed: seed must lie in [0, 2^64), got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_endpoints_rejected(self, tmp_path, capsys):
         src = write_sample_csv(tmp_path / "a.csv", [1.0, 2.0, 3.0])

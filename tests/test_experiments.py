@@ -53,19 +53,15 @@ class TestResultTable:
             if c.metric in ("type1", "type2"):
                 assert abs(c.se - math.sqrt(c.value * (1 - c.value) / c.trials)) < 1e-15
 
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self):
         table = run_phase_transition(SMALL_PHASE)
-        path = tmp_path / "phase.csv"
-        table.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = table.csv_text().splitlines()
         assert lines[0] == "beta,metric,value,se,trials"
         assert len(lines) == 1 + len(table.cells)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         table = run_phase_transition(SMALL_PHASE)
-        path = tmp_path / "phase.json"
-        table.write_json(path)
-        payload = json.loads(path.read_text())
+        payload = json.loads(json.dumps(table.to_dict(), indent=2))
         assert payload["schema"] == "wshift-result-table/1"
         assert payload["config"]["seed"] == 202
         assert len(payload["cells"]) == len(table.cells)

@@ -44,7 +44,6 @@ from wshift.hypotest import (
 from wshift.transport import (
     displacement_interpolate,
     lebesgue,
-    linear_interpolate,
     plan_scaled_statistic,
     quadratic_weight,
     scaled_statistics,
@@ -123,8 +122,6 @@ class TestWassersteinStatistic:
         pytest.param(affine(uniform01(), 2.0, -1.0), False, id="affine"),
         pytest.param(displacement_interpolate(uniform01(), sine_distribution(0.5), 0.3), True,
                      id="displacement"),
-        pytest.param(linear_interpolate(uniform01(), sine_distribution(0.5), 0.3), True,
-                     id="mixture"),
         pytest.param(EmpiricalDistribution([0.2, 0.4, 0.7]), False, id="empirical"),
     ])
     def test_compact_support_warning_by_null_kind(self, null, warns):

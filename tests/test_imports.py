@@ -1,7 +1,9 @@
 """Source hygiene: every module-level import of a package module is used or exported,
-and no invariant rests on an ``assert`` statement, which ``python -O`` strips."""
+every export exists, and no invariant rests on an ``assert`` statement, which
+``python -O`` strips."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,27 @@ def test_catches_an_import_left_behind():
               "def run():\n"
               "    return lebesgue()\n")
     assert unused_imports(source) == ["np (line 1)", "w2_weighted_squared (line 2)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"],
+                         ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    # unused_imports counts an __all__ entry as read, so it misses a stale one
+    module = importlib.import_module(f"wshift.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_the_package_imports_only_exports():
+    # a module without __all__ exports every name it binds
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    not_exported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"wshift.{node.module}")
+            exported = getattr(module, "__all__", dir(module))
+            not_exported += [f"{node.module}.{alias.name}" for alias in node.names
+                             if alias.name not in exported]
+    assert not_exported == []
 
 
 def assert_lines(source: str) -> list[int]:
