@@ -24,6 +24,7 @@ from wshift.distributions import EmpiricalDistribution, sample, uniform01
 from wshift.errors import DataFormatError, ParameterError
 from wshift.experiments import ComparisonConfig, PhaseConfig, PowerMapConfig, _config_echo
 from wshift.hypotest import LimitLawCritical, ResamplingCritical, TabulatedCritical, TestOutcome
+from wshift.transport import Histogram, _fd_edges
 
 
 def write_sample_csv(path, values, column="value"):
@@ -561,6 +562,44 @@ class TestInterpolateCommand:
             t, w2_relative, tv_relative = (float(x) for x in line.split(","))
             assert abs(w2_relative - t) <= 1e-9
             assert abs(tv_relative - t) <= 1e-9
+
+    def test_linear_tables_are_quantiles_of_the_histogram_mix(self, tmp_path):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(0, 1, 200), rng.exponential(2.0, 150)
+        src = write_sample_csv(tmp_path / "a.csv", a)
+        tgt = write_sample_csv(tmp_path / "b.csv", b)
+        out = tmp_path / "interp"
+        assert main(["interpolate", "--source", str(src), "--target", str(tgt),
+                     "--kind", "linear", "--steps", "3", "--grid-points", "50",
+                     "--out", str(out)]) == 0
+        assert not list(out.glob("displacement_*.csv"))
+        edges = _fd_edges(np.concatenate([a, b]))
+        p0, p1 = (np.histogram(v, bins=edges)[0] / v.size for v in (a, b))
+        u = (np.arange(50) + 0.5) / 50
+        for i, t in enumerate((0.0, 0.5, 1.0)):
+            rows = (out / f"linear_{i:02d}.csv").read_text().splitlines()
+            assert rows[0] == "u,quantile"
+            got = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+            want = Histogram(edges, (1.0 - t) * p0 + t * p1).quantile(u)
+            assert np.allclose(got[:, 0], u, rtol=1e-9, atol=0.0)
+            assert np.allclose(got[:, 1], want, rtol=1e-9, atol=1e-12)
+
+    def test_displacement_tables_mix_the_quantiles(self, tmp_path):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(0, 1, 40), rng.uniform(3.0, 5.0, 25)
+        src = write_sample_csv(tmp_path / "a.csv", a)
+        tgt = write_sample_csv(tmp_path / "b.csv", b)
+        out = tmp_path / "interp"
+        assert main(["interpolate", "--source", str(src), "--target", str(tgt),
+                     "--kind", "displacement", "--steps", "5", "--grid-points", "30",
+                     "--out", str(out)]) == 0
+        assert not list(out.glob("linear_*.csv"))
+        u = (np.arange(30) + 0.5) / 30
+        qa, qb = EmpiricalDistribution(a).quantile(u), EmpiricalDistribution(b).quantile(u)
+        for i, t in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
+            rows = (out / f"displacement_{i:02d}.csv").read_text().splitlines()[1:]
+            got = np.array([float(r.split(",")[1]) for r in rows])
+            assert np.allclose(got, (1.0 - t) * qa + t * qb, rtol=1e-9, atol=1e-12)
 
     def test_rejects_a_seed_outside_64_bits(self, tmp_path, capsys):
         # the command draws nothing, but its manifest would record the seed

@@ -23,6 +23,7 @@ from wshift.distributions import (
 from wshift.errors import ParameterError, UnboundedSupportError
 from wshift.transport import (
     Histogram,
+    _fd_edges,
     _quadrature,
     _segment_edges,
     displacement_interpolate,
@@ -67,6 +68,18 @@ class TestWeightMeasures:
         assert w.density(0.5) == 1.0
         with pytest.raises(ParameterError):
             lebesgue(trim=0.5)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 6.0, 11.5])
+    def test_quadratic_density_closed_form(self, a):
+        # the stored coefficients expand a (u - 1/2)^2 + 1 - a/12
+        u = np.linspace(0.0, 1.0, 1001)
+        expected = a * (u - 0.5) ** 2 + 1.0 - a / 12.0
+        assert np.max(np.abs(quadratic_weight(a).density_fn(u) - expected)) < 1e-13
+
+    def test_describe(self):
+        assert lebesgue(trim=0.1).describe() == {"tag": "lebesgue", "trim": 0.1}
+        assert quadratic_weight(2, trim=0.01).describe() == {
+            "tag": "quadratic", "trim": 0.01, "a": 2.0}
 
 
 class TestWeightedDistance:
@@ -284,6 +297,56 @@ class TestTvDistance:
     def test_zero_width_bins_rejected(self):
         with pytest.raises(ParameterError, match="zero-width"):
             Histogram(np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.5]))
+
+    def test_unnormalized_masses(self):
+        edges = np.array([0.0, 1.0, 2.0, 3.0])
+        p = np.array([0.2, 0.5, 0.3])
+        q = np.array([0.6, 0.1, 0.3])
+        unit = tv_distance(Histogram(edges, p), Histogram(edges, q))
+        assert abs(unit - 0.4) < 1e-15
+        assert tv_distance(Histogram(edges, 7.0 * p), Histogram(edges, 300.0 * q)) == unit
+
+
+class TestHistogramQuantile:
+    def test_mass_spreads_uniformly_over_each_bin(self):
+        h = Histogram(np.array([0.0, 1.0, 3.0]), np.array([2.0, 2.0]))
+        u = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(h.quantile(u), [0.0, 0.5, 1.0, 2.0, 3.0])
+
+    def test_empty_bins_hold_no_quantile(self):
+        h = Histogram(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
+        u = np.linspace(0.0, 1.0, 201)
+        q = h.quantile(u)
+        assert not np.any((q > 1.0) & (q < 2.0))
+        assert h.quantile(np.array([0.75]))[0] == 2.5
+
+    def test_inverts_the_binned_cdf(self):
+        rng = np.random.default_rng(5)
+        edges = np.cumsum(rng.random(12) + 0.1)
+        h = Histogram(edges, rng.random(11) + 0.05)
+        q = h.quantile((np.arange(999) + 0.5) / 999)
+        cdf = np.interp(q, edges, np.concatenate([[0.0], np.cumsum(h.probabilities)]))
+        assert np.all(np.diff(q) > 0.0)
+        assert np.max(np.abs(cdf - (np.arange(999) + 0.5) / 999)) < 1e-12
+
+
+class TestFdEdges:
+    def test_constant_sample_gets_one_unit_bin(self):
+        assert np.array_equal(_fd_edges(np.full(5, 2.0)), [1.5, 2.5])
+
+    def test_freedman_diaconis_width_over_the_range(self):
+        x = np.random.default_rng(8).normal(0.0, 1.0, 1000)
+        edges = _fd_edges(x)
+        q75, q25 = np.percentile(x, [75.0, 25.0])
+        h = 2.0 * (q75 - q25) * x.size ** (-1.0 / 3.0)
+        assert edges[0] == x.min() and edges[-1] == x.max()
+        assert edges.size - 1 == math.ceil((x.max() - x.min()) / h)
+        assert np.allclose(np.diff(edges), (x.max() - x.min()) / (edges.size - 1))
+
+    def test_bin_count_bounds(self):
+        # a zero interquartile range gives 64 bins; a far outlier hits the 4096 cap
+        assert _fd_edges(np.array([0.0] * 10 + [1.0])).size == 65
+        assert _fd_edges(np.concatenate([np.linspace(0.0, 1.0, 100), [1e6]])).size == 4097
 
 
 class TestRelativeDistanceCurve:
