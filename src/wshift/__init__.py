@@ -49,7 +49,6 @@ from .hypotest import (
     TabulatedCritical,
     TestConfig,
     TestOutcome,
-    ks_statistic,
     resampling_critical_value,
     resampling_power,
     run_test,

@@ -33,9 +33,13 @@ Conventions
   chosen class is an error, so no manifest records a setting that had no
   effect, and every field of the chosen class is recorded, defaults included.
 * Every output directory gets a ``manifest.json`` with the exact command,
-  resolved configuration, seed, input digests, and output names; outputs
-  are written atomically (write-then-rename) and contain no timestamps, so
-  re-running the manifest's command reproduces them bit-identically.
+  resolved configuration, seed, the sha256 of every CSV file read (the
+  files of ``csv:`` specifiers included), the start and finish times and
+  the output names. ``started_at`` is taken before the options are
+  resolved. A subcommand returns its outputs and only ``main`` writes
+  them, so a command that fails writes nothing. Outputs are written
+  atomically (write-then-rename) and contain no timestamps, so re-running
+  the manifest's command reproduces them bit-identically.
 * Numeric CSV output uses 10 significant digits; JSON keeps full float
   precision.
 
@@ -285,6 +289,17 @@ def _read_value_column(path, column: str = "value") -> np.ndarray:
 # Specifier parsing
 # ---------------------------------------------------------------------------
 
+def _csv_spec(spec: str) -> Optional[tuple[str, str]]:
+    """``(path, column)`` of a ``csv:<path>:<column>`` specifier; None for any other."""
+    head, _, rest = spec.strip().partition(":")
+    if head != "csv":
+        return None
+    path, _, column = rest.rpartition(":")
+    if not path:
+        raise ParameterError("csv specifier is csv:<path>:<column>")
+    return path, column
+
+
 def parse_distribution(spec: str) -> Distribution:
     """Parse a distribution specifier (see module docstring for the grammar)."""
     spec = spec.strip()
@@ -307,10 +322,7 @@ def parse_distribution(spec: str) -> Distribution:
             lo, hi = (float(x) for x in rest.split(","))
             return two_point(lo, hi)
         if head == "csv":
-            path, _, column = rest.rpartition(":")
-            if not path:
-                raise ParameterError("csv specifier is csv:<path>:<column>")
-            return EmpiricalDistribution(_read_value_column(path, column))
+            return EmpiricalDistribution(_read_value_column(*_csv_spec(spec)))
     except ValueError as exc:
         raise ParameterError(f"bad distribution specifier {spec!r}: {exc}") from exc
     raise ParameterError(
@@ -359,46 +371,34 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-class _OutputSink:
-    """Collects outputs of one command and writes the manifest next to them."""
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
-    def __init__(self, out_dir, argv, config, seed, inputs=()):
-        self.dir = Path(out_dir) if out_dir else None
-        self.argv = list(argv)
-        self.config = config
-        self.seed = int(seed)
-        self.inputs = {str(p): sha256_file(p) for p in inputs}
-        self.started = _utc_now()
-        self.outputs: list[str] = []
 
-    def write_text(self, name: str, text: str) -> None:
-        if self.dir is None:
-            return
-        atomic_write_text(self.dir / name, text)
-        self.outputs.append(name)
+def _write_run(out_dir: Path, outputs: dict, argv: list[str], config: dict,
+               started: str) -> None:
+    """Write every output atomically, then ``manifest.json``, which is not among them.
 
-    def write_json(self, name: str, payload) -> None:
-        self.write_text(name, json.dumps(payload, indent=2) + "\n")
-
-    def write_table(self, stem: str, table) -> None:
-        self.write_text(stem + ".csv", table.csv_text())
-        self.write_json(stem + ".json", table.to_dict())
-
-    def finish(self) -> None:
-        """Write ``manifest.json``, which is not listed among the outputs."""
-        if self.dir is None:
-            return
-        manifest = {
-            "command": self.argv,
-            "config": self.config,
-            "seed": self.seed,
-            "tool_version": __version__,
-            "input_digests": self.inputs,
-            "started_at": self.started,
-            "finished_at": _utc_now(),
-            "outputs": self.outputs,
-        }
-        atomic_write_text(self.dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    The input digests cover the ``--data``, ``--source`` and ``--target``
+    files and the file of every ``csv:`` specifier in ``--null`` and ``--q``;
+    they are taken before anything is written.
+    """
+    specs = [_csv_spec(config.get(key) or "") for key in ("null", "q")]
+    inputs = [config.get(key) for key in ("data", "source", "target")] + [s[0] for s in specs if s]
+    digests = {str(path): sha256_file(path) for path in inputs if path is not None}
+    for name, text in outputs.items():
+        atomic_write_text(out_dir / name, text)
+    manifest = {
+        "command": argv,
+        "config": config,
+        "seed": int(config["seed"]),
+        "tool_version": __version__,
+        "input_digests": digests,
+        "started_at": started,
+        "finished_at": _utc_now(),
+        "outputs": list(outputs),
+    }
+    atomic_write_text(out_dir / "manifest.json", _json_text(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +457,12 @@ class _Options:
                             help="flat key = value config file (flags win)")
         self.add("--out", str, None)
 
-    def add(self, flag: str, converter, default, help: str | None = None, metavar=None):
+    def add(self, flag: str, converter, default, help: str | None = None):
         dest = flag.lstrip("-").replace("-", "_")
         key = flag.lstrip("-")
         help = help or _OPTION_HELP.get(dest, key)
         shown = "" if default is None else f" [default: {default}]"
-        self.parser.add_argument(flag, dest=dest, default=None, metavar=metavar,
-                                 help=help + shown)
+        self.parser.add_argument(flag, dest=dest, default=None, help=help + shown)
         self.specs[dest] = (key, converter, default)
 
     def resolve(self, args: argparse.Namespace) -> dict:
@@ -511,10 +510,19 @@ def _bool(text) -> bool:
 def _common_options(opts: _Options, *, alpha=True, reps=None, trials=None, grid_k=None):
     opts.add("--seed", _root_seed, 0)
     if alpha:
-        opts.add("--alpha", float, 0.05)
+        opts.add("--alpha", float, TestConfig.alpha)
     for flag, default in (("--reps", reps), ("--trials", trials), ("--grid-k", grid_k)):
         if default is not None:
             opts.add(flag, int, default)
+
+
+def _null_options(opts: _Options, *between) -> None:
+    """``--null``, the options ``between`` as ``add`` arguments, ``--weight`` and ``--trim``."""
+    opts.add("--null", str, "uniform01", "null distribution specifier")
+    for option in between:
+        opts.add(*option)
+    opts.add("--weight", str, "lebesgue", "weight measure specifier")
+    opts.add("--trim", float, 0.0, "trim the weight to [trim, 1 - trim]")
 
 
 def _config_options(opts: _Options, config_cls) -> None:
@@ -546,7 +554,7 @@ def _experiment_config(config_cls, opts_values: dict):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_critval(opts_values: dict, argv: list[str]) -> int:
+def _cmd_critval(opts_values: dict) -> tuple[int, dict]:
     omega = parse_weight(opts_values["weight"], opts_values["trim"])
     null = parse_distribution(opts_values["null"])
     sampler = LimitLawSampler.from_distributions(
@@ -555,8 +563,7 @@ def _cmd_critval(opts_values: dict, argv: list[str]) -> int:
     cv = critical_value(sampler, opts_values["alpha"], opts_values["reps"])
     print(f"critical_value = {cv.value:.10g}")
     print(f"standard_error = {cv.standard_error:.10g}")
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"])
-    sink.write_json("critval.json", {
+    return 0, {"critval.json": _json_text({
         "alpha": cv.alpha,
         "critical_value": cv.value,
         "standard_error": cv.standard_error,
@@ -565,9 +572,7 @@ def _cmd_critval(opts_values: dict, argv: list[str]) -> int:
         "seed": cv.seed,
         "null": null.name,
         "weight": omega.describe(),
-    })
-    sink.finish()
-    return 0
+    })}
 
 
 _SOURCES = {cls.name: cls for cls in (TabulatedCritical, LimitLawCritical, ResamplingCritical)}
@@ -597,7 +602,7 @@ def _critical_source(name: str, null: Distribution, opts_values: dict):
                              if opts_values[dest] is not None})
 
 
-def _cmd_test(opts_values: dict, argv: list[str]) -> int:
+def _cmd_test(opts_values: dict) -> tuple[int, dict]:
     omega = parse_weight(opts_values["weight"], opts_values["trim"])
     null = parse_distribution(opts_values["null"])
     data_path = opts_values["data"]
@@ -616,15 +621,11 @@ def _cmd_test(opts_values: dict, argv: list[str]) -> int:
     print(f"critical_value = {outcome.critical_value:.10g}")
     print(f"p_value        = {outcome.p_value:.10g}")
     print(f"decision       = {decision}")
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
-                       inputs=[data_path])
-    sink.write_json("test.json", asdict(outcome))
-    sink.finish()
-    return 3 if outcome.reject else 0
+    return (3 if outcome.reject else 0), {"test.json": _json_text(asdict(outcome))}
 
 
 def _cmd_experiment(config_cls, run, stem: str, summary: tuple[str, ...],
-                    opts_values: dict, argv: list[str]) -> int:
+                    opts_values: dict) -> tuple[int, dict]:
     table = run(_experiment_config(config_cls, opts_values))
     for cell in table.cells:
         if cell.metric != summary[0]:
@@ -632,13 +633,10 @@ def _cmd_experiment(config_cls, run, stem: str, summary: tuple[str, ...],
         at = " ".join(f"{a}={v:g}" for a, v in zip(table.axis_names, cell.axes))
         shown = (table.cell(m, *cell.axes) for m in summary)
         print(at + "  " + " ".join(f"{c.metric}={c.value:.4f} (se={c.se:.4f})" for c in shown))
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"])
-    sink.write_table(stem, table)
-    sink.finish()
-    return 0
+    return 0, {stem + ".csv": table.csv_text(), stem + ".json": _json_text(table.to_dict())}
 
 
-def _cmd_interpolate(opts_values: dict, argv: list[str]) -> int:
+def _cmd_interpolate(opts_values: dict) -> tuple[int, dict]:
     src_path, tgt_path = opts_values["source"], opts_values["target"]
     if src_path is None or tgt_path is None:
         raise ParameterError("interpolate requires --source and --target CSV files")
@@ -677,24 +675,22 @@ def _cmd_interpolate(opts_values: dict, argv: list[str]) -> int:
     def quantile_csv(q: np.ndarray) -> str:
         return "u,quantile\n" + "".join(f"{a}{qi:.10g}\n" for a, qi in zip(u_cells, q.tolist()))
 
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
-                       inputs=[src_path, tgt_path])
+    outputs = {}
     for i, (disp, mixture) in enumerate(zip(series, mixtures)):
         if kind in ("displacement", "both"):
-            sink.write_text(f"displacement_{i:02d}.csv", quantile_csv(disp.quantile(u)))
+            outputs[f"displacement_{i:02d}.csv"] = quantile_csv(disp.quantile(u))
         if kind in ("linear", "both"):
-            sink.write_text(f"linear_{i:02d}.csv", quantile_csv(mixture.quantile(u)))
+            outputs[f"linear_{i:02d}.csv"] = quantile_csv(mixture.quantile(u))
     curve_lines = ["t,w2_relative,tv_relative"]
     curve_lines += [f"{t:.10g},{e:.10g},{g:.10g}"
                     for t, e, g in zip(ts, w2_curve, tv_curve)]
-    sink.write_text("curve.csv", "\n".join(curve_lines) + "\n")
-    sink.finish()
-    print(f"wrote {steps} interpolation step(s) and curve.csv "
-          f"({'-' if sink.dir is None else sink.dir})")
-    return 0
+    outputs["curve.csv"] = "\n".join(curve_lines) + "\n"
+    out = opts_values["out"]
+    print(f"wrote {steps} interpolation step(s) and curve.csv ({Path(out) if out else '-'})")
+    return 0, outputs
 
 
-def _cmd_power_resample(opts_values: dict, argv: list[str]) -> int:
+def _cmd_power_resample(opts_values: dict) -> tuple[int, dict]:
     data_path = opts_values["data"]
     if data_path is None:
         raise ParameterError("power-resample requires --data <csv>")
@@ -721,11 +717,7 @@ def _cmd_power_resample(opts_values: dict, argv: list[str]) -> int:
             se = math.sqrt(max(power * (1 - power), 0.0) / trials)
             lines.append(f"{label},{n},{power:.10g},{se:.10g},{trials}")
             print(f"period={label} n={n}  power={power:.3f}")
-    sink = _OutputSink(opts_values["out"], argv, opts_values, opts_values["seed"],
-                       inputs=[data_path])
-    sink.write_text("power_resample.csv", "\n".join(lines) + "\n")
-    sink.finish()
-    return 0
+    return 0, {"power_resample.csv": "\n".join(lines) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -761,19 +753,14 @@ def _build_parser():
 
     def conf_critval(o: _Options):
         _common_options(o, reps=LimitLawCritical.reps, grid_k=LimitLawCritical.grid_k)
-        o.add("--null", str, "uniform01", "null distribution specifier")
-        o.add("--weight", str, "lebesgue", "weight measure specifier")
-        o.add("--trim", float, 0.0, "trim the weight to [trim, 1 - trim]")
+        _null_options(o)
 
     def conf_test(o: _Options):
         _common_options(o)
         o.add("--reps", int, None, "Monte Carlo repetitions [default: per critical source]")
         o.add("--grid-k", int, None, "bridge grid size [default: per critical source]")
-        o.add("--null", str, "uniform01", "null distribution specifier")
-        o.add("--data", str, None, "CSV file with the sample")
-        o.add("--column", str, "value", "value column in --data")
-        o.add("--weight", str, "lebesgue", "weight measure specifier")
-        o.add("--trim", float, 0.0, "trim the weight to [trim, 1 - trim]")
+        _null_options(o, ("--data", str, None, "CSV file with the sample"),
+                      ("--column", str, "value", "value column in --data"))
         o.add("--critical-source", str, "auto",
               "auto | tabulated | limitlaw | resampling")
         o.add("--tabulated-value", float, None, "critical value for tabulated source")
@@ -830,12 +817,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     opts, handler = handlers[args.command]
+    started = _utc_now()
     try:
         values = opts.resolve(args)
-        return handler(values, ["wshift", *argv])
+        code, outputs = handler(values)
+        if values["out"]:
+            _write_run(Path(values["out"]), outputs, ["wshift", *argv], values, started)
     except (WShiftError, OSError) as exc:
         print(f"wshift {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

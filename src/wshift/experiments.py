@@ -50,7 +50,7 @@ from .distributions import (
     uniform01,
 )
 from .errors import ParameterError
-from .hypotest import _reject_counts, _w2_statistic, ks_statistics_sorted
+from .hypotest import TestConfig, _reject_counts, _w2_statistic, ks_statistics_sorted
 from .limitlaw import (
     BridgeGrid,
     LimitLawSampler,
@@ -81,6 +81,9 @@ __all__ = [
 ]
 
 _TABLE_SCHEMA = "wshift-result-table/1"
+# The 5% point (level ``TestConfig.alpha``) of the null limit law for the
+# uniform null under the unit weight: every config's default critical value.
+_CRITICAL = 0.46136
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ class PhaseConfig:
     n: int = 100_000
     betas: tuple[float, ...] = (0.2, 0.35, 0.5, 0.65, 0.8)
     trials: int = 200
-    critical: float = 0.46136
+    critical: float = _CRITICAL
     omega: WeightMeasure = field(default_factory=lebesgue)
     seed: int = 0
 
@@ -303,10 +306,10 @@ class PowerMapConfig:
     gammas: tuple[float, ...] = (3.5, 5.5, 7.5, 9.5, 11.75)
     n: int = 100_000
     trials: int = 200
-    critical: float = 0.46136
+    critical: float = _CRITICAL
     seed: int = 0
     law_reps: int = 50_000
-    grid_k: int = 4096
+    grid_k: int = BridgeGrid.k
 
     def __post_init__(self):
         _check_domain(self, positive_gammas=True)
@@ -363,7 +366,7 @@ class ComparisonConfig:
     gammas: tuple[float, ...] = (4.0, 7.0, 10.0)
     n: int = 100_000
     trials: int = 200
-    critical: float = 0.46136
+    critical: float = _CRITICAL
     ks_critical: float = 1.36
     seed: int = 0
 
@@ -415,11 +418,11 @@ class WeightComparisonConfig:
     family: str = "tail"
     n: int = 100_000
     trials: int = 200
-    alpha: float = 0.05
-    critical_lebesgue: float = 0.46136
+    alpha: float = TestConfig.alpha
+    critical_lebesgue: float = _CRITICAL
     seed: int = 0
     law_reps: int = 100_000
-    grid_k: int = 4096
+    grid_k: int = BridgeGrid.k
 
     def __post_init__(self):
         _check_domain(self)

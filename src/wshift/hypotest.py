@@ -65,7 +65,6 @@ from .transport import (
 
 __all__ = [
     "wasserstein_statistic",
-    "ks_statistic",
     "TabulatedCritical",
     "LimitLawCritical",
     "ResamplingCritical",
@@ -95,16 +94,11 @@ def wasserstein_statistic(samples: EmpiricalDistribution, null: Distribution,
     return samples.n * w2_weighted_squared(samples, null, omega)
 
 
-def ks_statistic(samples: EmpiricalDistribution, null: Distribution) -> float:
-    """Scaled Kolmogorov-Smirnov statistic ``sqrt(n) * sup |F_n - F|``.
+def ks_statistics_sorted(sorted_samples: np.ndarray, null: Distribution) -> np.ndarray:
+    """Scaled KS statistic ``sqrt(n) * sup |F_n - F|`` of each row of sorted samples.
 
     The supremum is attained at sample points and computed there exactly.
     """
-    return float(ks_statistics_sorted(samples.values, null)[0])
-
-
-def ks_statistics_sorted(sorted_samples: np.ndarray, null: Distribution) -> np.ndarray:
-    """KS statistics for each row of a matrix of sorted samples."""
     x = np.atleast_2d(np.asarray(sorted_samples, dtype=float))
     n = x.shape[1]
     f = null.cdf_fn(x.ravel()).reshape(x.shape)
@@ -141,7 +135,7 @@ class LimitLawCritical:
 
     name: ClassVar[str] = "limitlaw"
     reps: int = 100_000
-    grid_k: int = 4096
+    grid_k: int = BridgeGrid.k
 
     def draw(self, config: TestConfig, n: int, seed: int) -> tuple[np.ndarray, float]:
         return _null_quantile(_limit_sampler(config, self.grid_k, seed), config.alpha, self.reps)

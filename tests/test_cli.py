@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, specifier parsing, subcommands, and manifests."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -534,6 +535,46 @@ class TestDeterminism:
         replay[replay.index(str(out1))] = str(out2)
         assert main(replay) == 0
         assert (out1 / "critval.json").read_bytes() == (out2 / "critval.json").read_bytes()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifest:
+    def test_test_digests_the_csv_null_and_the_data(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        ref = write_sample_csv(tmp_path / "ref.csv", rng.random(200))
+        data = write_sample_csv(tmp_path / "d.csv", rng.random(80))
+        out = tmp_path / "out"
+        assert main(["test", "--null", f"csv:{ref}:value", "--data", str(data),
+                     "--reps", "100", "--out", str(out)]) in (0, 3)
+        digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+        assert digests == {str(data): _sha256(data), str(ref): _sha256(ref)}
+
+    def test_phase_digests_the_csv_signal(self, tmp_path, capsys):
+        sig = write_sample_csv(tmp_path / "sig.csv", np.random.default_rng(13).normal(0, 1, 300))
+        out = tmp_path / "out"
+        assert main(["phase", "--q", f"csv:{sig}:value", "--n", "200", "--trials", "20",
+                     "--betas", "0.5", "--out", str(out)]) == 0
+        digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+        assert digests == {str(sig): _sha256(sig)}
+
+    def test_started_at_precedes_the_work(self, tmp_path, monkeypatch):
+        ticks = iter(range(100))
+        monkeypatch.setattr(cli, "_utc_now", lambda: next(ticks))
+        seen = []
+
+        def fake_run_test(samples, config, seed=0):  # reads the clock mid-run, simulates nothing
+            seen.append(cli._utc_now())
+            return TestOutcome(0.0, 1.0, False, 1.0, samples.n, {})
+
+        monkeypatch.setattr(cli, "run_test", fake_run_test)
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(0.1, 0.9, 50))
+        out = tmp_path / "out"
+        assert main(["test", "--data", str(data), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["started_at"] < seen[0] < manifest["finished_at"]
 
 
 class TestInterpolateCommand:

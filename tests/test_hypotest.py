@@ -34,7 +34,6 @@ from wshift.hypotest import (
     TabulatedCritical,
     TestConfig,
     TestOutcome,
-    ks_statistic,
     ks_statistics_sorted,
     resampling_critical_value,
     resampling_power,
@@ -148,14 +147,14 @@ class TestTypeICalibration:
 
 class TestKsStatistic:
     def test_single_point(self):
-        got = ks_statistic(EmpiricalDistribution([0.5]), uniform01())
+        got = ks_statistics_sorted(EmpiricalDistribution([0.5]).values, uniform01())[0]
         assert got == 0.5
 
     def test_brute_force_grid_sample(self):
         # exhaustive check over the 9 indices for x_i = i / 10
         n = 9
         xs = np.arange(1, n + 1) / (n + 1)
-        got = ks_statistic(EmpiricalDistribution(xs), uniform01())
+        got = ks_statistics_sorted(EmpiricalDistribution(xs).values, uniform01())[0]
         want = math.sqrt(n) * max(
             max(i / n - i / 10.0, i / 10.0 - (i - 1) / n) for i in range(1, n + 1))
         assert abs(got - want) < 1e-12
@@ -163,15 +162,15 @@ class TestKsStatistic:
     def test_threshold_decision(self):
         # reject at level 0.05 iff the statistic exceeds 1.36
         shifted = EmpiricalDistribution(np.linspace(0.3, 0.9, 1000))
-        assert ks_statistic(shifted, uniform01()) > 1.36
+        assert ks_statistics_sorted(shifted.values, uniform01())[0] > 1.36
         calm = sample(uniform01(), 1000, seed=3)
-        assert ks_statistic(calm, uniform01()) < 1.36
+        assert ks_statistics_sorted(calm.values, uniform01())[0] < 1.36
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         x = np.sort(rng.random((5, 60)), axis=1)
         batch = ks_statistics_sorted(x, uniform01())
-        singles = [ks_statistic(EmpiricalDistribution(r), uniform01()) for r in x]
+        singles = [ks_statistics_sorted(r, uniform01())[0] for r in x]
         assert np.allclose(batch, singles, rtol=1e-12)
 
 
