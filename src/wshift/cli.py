@@ -33,8 +33,9 @@ Conventions
   chosen class is an error, so no manifest records a setting that had no
   effect, and every field of the chosen class is recorded, defaults included.
 * Every output directory gets a ``manifest.json`` with the exact command,
-  resolved configuration, seed, the sha256 of every CSV file read (the
-  files of ``csv:`` specifiers included), the start and finish times and
+  resolved configuration, seed, the sha256 of every file read (the
+  ``--config`` file and every CSV file, those of ``csv:`` specifiers
+  included), the start and finish times and
   the output names. ``started_at`` is taken before the options are
   resolved. A subcommand returns its outputs and only ``main`` writes
   them, so a command that fails writes nothing. Outputs are written
@@ -376,15 +377,17 @@ def _json_text(payload) -> str:
 
 
 def _write_run(out_dir: Path, outputs: dict, argv: list[str], config: dict,
-               started: str) -> None:
+               started: str, config_file: Optional[str]) -> None:
     """Write every output atomically, then ``manifest.json``, which is not among them.
 
-    The input digests cover the ``--data``, ``--source`` and ``--target``
-    files and the file of every ``csv:`` specifier in ``--null`` and ``--q``;
-    they are taken before anything is written.
+    The input digests cover the ``--config`` file, the ``--data``,
+    ``--source`` and ``--target`` files and the file of every ``csv:``
+    specifier in ``--null`` and ``--q``; they are taken before anything is
+    written.
     """
     specs = [_csv_spec(config.get(key) or "") for key in ("null", "q")]
-    inputs = [config.get(key) for key in ("data", "source", "target")] + [s[0] for s in specs if s]
+    inputs = ([config_file] + [config.get(key) for key in ("data", "source", "target")]
+              + [s[0] for s in specs if s])
     digests = {str(path): sha256_file(path) for path in inputs if path is not None}
     for name, text in outputs.items():
         atomic_write_text(out_dir / name, text)
@@ -822,7 +825,8 @@ def main(argv=None) -> int:
         values = opts.resolve(args)
         code, outputs = handler(values)
         if values["out"]:
-            _write_run(Path(values["out"]), outputs, ["wshift", *argv], values, started)
+            _write_run(Path(values["out"]), outputs, ["wshift", *argv], values, started,
+                       args.config)
     except (WShiftError, OSError) as exc:
         print(f"wshift {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -32,8 +32,10 @@ Conventions
 * Monte Carlo work runs in tiles of ``_BLOCK_SCALARS`` = 2^15 values (256 KiB
   per array), here and inside the limit law's bridge chunks. Every draw
   continues its stream across tiles and every quantile is elementwise, so
-  the tile size bounds memory and changes no output; the limit law's
-  streams are fixed by its chunk of 2^20 normals (``limitlaw._CHUNK_NORMALS``).
+  the tile size bounds memory and changes no output (save after a subset
+  row that :func:`_distinct_subsets` redraws, which is rare); the limit
+  law's streams are fixed by its chunk of 2^20 normals
+  (``limitlaw._CHUNK_NORMALS``).
 * Sorted samples of a law drawn by inverse transform sort the uniforms
   first and then apply the quantile, which gives the same values as sorting
   after the quantile (a block whose quantile rounds a row out of order is
@@ -41,8 +43,9 @@ Conventions
   use more than one CPU, one worker thread draws and sorts the next block
   of uniforms while the caller maps and scores the current one; the worker
   touches only the generator and ``ndarray.sort``. Resampled data blocks
-  are drawn inline. Outputs depend on neither the order of sorting nor the
-  core count.
+  are drawn inline, and a subsample of n of N values without replacement
+  is drawn a block at a time while 8n <= N. Outputs depend on neither the
+  order of sorting nor the core count.
 * :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is called,
   as the limit law's critical-value standard error imports ``betainc``; so
   importing the package never loads scipy, nor does a command that builds no
@@ -86,6 +89,11 @@ _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
 # Values per tile of Monte Carlo work (256 KiB per array): sorted-sample blocks
 # here and the bridge tiles inside each limit-law chunk. It moves no draw.
 _BLOCK_SCALARS = 1 << 15
+# Draws per row when subsampling n of N without replacement: the mean number
+# of draws that collects n distinct values, plus _SUBSET_SDS standard
+# deviations, plus _SUBSET_PAD. A row that still falls short is redrawn.
+_SUBSET_SDS = 8.0
+_SUBSET_PAD = 2
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -537,6 +545,49 @@ def _one_block_ahead(draw: Callable[[int], np.ndarray], sizes: list[int]) -> Ite
         yield pending.result()
 
 
+def _subset_width(N: int, n: int) -> int:
+    """Draws per row for :func:`_distinct_subsets`: the coupon-collector margin."""
+    p = (N - np.arange(n)) / N  # chance that the next draw is new, with i values seen
+    mean, var = np.sum(1.0 / p), np.sum((1.0 - p) / p ** 2)
+    return int(math.ceil(mean + _SUBSET_SDS * math.sqrt(var))) + _SUBSET_PAD
+
+
+def _distinct_subsets(rng: np.random.Generator, N: int, n: int, m: int) -> np.ndarray:
+    """``m`` rows of ``n`` distinct indices of ``range(N)``, each sorted; N <= 2^31.
+
+    Each row is the first ``n`` distinct values of iid uniform draws on
+    ``range(N)``, which is an exactly uniform n-subset: the law of the draws,
+    and so of the subset, is invariant under relabelling the values. A block
+    draws ``w`` values per row at once and sorts each row of the keys
+    ``value << bits | position``; the first occurrence of each value then
+    comes first, and the subset is the first occurrences at or before the
+    position of the n-th new value. The rows that hold fewer than ``n``
+    distinct values are drawn again after the block with twice the width;
+    the event is invariant under relabelling too, so the subsets stay uniform.
+    """
+    out = np.empty((m, n), dtype=np.int64)
+    todo = np.arange(m)
+    w = _subset_width(N, n)
+    while todo.size:
+        bits = (w - 1).bit_length()
+        dtype = np.int32 if (N - 1) << bits < 2 ** 31 else np.int64
+        keys = rng.integers(0, N, size=(todo.size, w), dtype=dtype)
+        keys <<= bits
+        keys |= np.arange(w, dtype=dtype)
+        keys.sort(axis=1)
+        values, positions = keys >> bits, keys & dtype((1 << bits) - 1)
+        repeated = np.zeros(keys.shape, dtype=bool)
+        np.equal(values[:, 1:], values[:, :-1], out=repeated[:, 1:])
+        positions[repeated] = w
+        nth_new = np.partition(positions, n - 1, axis=1)[:, n - 1:n]
+        full = nth_new[:, 0] < w
+        nth_new[~full] = -1  # keeps nothing of a short row
+        out[todo[full]] = values[positions <= nth_new].reshape(-1, n)
+        todo = todo[~full]
+        w *= 2
+    return out
+
+
 def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generator,
                    replace: bool = True) -> Iterator[np.ndarray]:
     """``reps`` sorted samples of size ``n`` from ``dist``, in memory-bounded blocks.
@@ -545,10 +596,14 @@ def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generat
     Laws are drawn by inverse transform: each block's uniforms are sorted
     (on a worker thread, one block ahead, when :func:`_one_block_ahead` uses
     one) and mapped through ``quantile_fn`` on the caller's thread. A data
-    sample is resampled by index inline, with replacement or (one row at a
-    time) without. Each draw continues the stream, so the rows depend on
-    neither the thread nor the block size. The generator owns ``rng`` until
-    it is exhausted or closed.
+    sample of N values is resampled by index inline: with replacement, or
+    without it a block at a time by :func:`_distinct_subsets` while
+    8n <= N, and one ``rng.choice`` call per row for larger n, where that is
+    faster. Each draw continues the stream, so the rows depend on neither
+    the thread nor the block size, with one exception: a subset row that
+    :func:`_distinct_subsets` redraws takes its draws after its block, so
+    the rows from it on depend on where the block ends. The generator owns
+    ``rng`` until it is exhausted or closed.
     """
     resample = isinstance(dist, EmpiricalDistribution)
     if resample and not replace and n > dist.n:
@@ -560,10 +615,13 @@ def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generat
         for m in sizes:
             if replace:
                 block = dist.values[rng.integers(0, dist.n, size=(m, n))]
+                block.sort(axis=1)
+            elif 8 * n <= dist.n <= 2 ** 31:
+                block = dist.values[_distinct_subsets(rng, dist.n, n, m)]  # sorted indices
             else:
                 block = np.stack([rng.choice(dist.values, size=n, replace=False)
                                   for _ in range(m)])
-            block.sort(axis=1)
+                block.sort(axis=1)
             yield block
         return
 

@@ -560,6 +560,15 @@ class TestManifest:
         digests = json.loads((out / "manifest.json").read_text())["input_digests"]
         assert digests == {str(sig): _sha256(sig)}
 
+    def test_critval_digests_the_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("reps = 2000\n")
+        out = tmp_path / "out"
+        assert main(["critval", "--config", str(conf), "--grid-k", "64", "--seed", "3",
+                     "--out", str(out)]) == 0
+        digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+        assert digests == {str(conf): _sha256(conf)}
+
     def test_started_at_precedes_the_work(self, tmp_path, monkeypatch):
         ticks = iter(range(100))
         monkeypatch.setattr(cli, "_utc_now", lambda: next(ticks))

@@ -16,8 +16,10 @@ from wshift._seeds import derive_rng
 from wshift.distributions import (
     EmpiricalDistribution,
     _bisect,
+    _distinct_subsets,
     _open_uniforms,
     _sorted_blocks,
+    _subset_width,
     affine,
     gaussian,
     sample,
@@ -395,8 +397,10 @@ class TestSortedBlocks:
         assert [b.shape for b in blocks] == [(7, 7), (7, 7), (7, 7), (2, 7)]
 
     def test_every_row_sorted(self, small_budget):
-        base = EmpiricalDistribution(np.arange(40.0))
-        for dist, replace in ((gaussian(0.0, 1.0), True), (base, True), (base, False)):
+        # without replacement, 7 of 40 is drawn a row at a time and 7 of 60 a block at a time
+        base, wide = EmpiricalDistribution(np.arange(40.0)), EmpiricalDistribution(np.arange(60.0))
+        for dist, replace in ((gaussian(0.0, 1.0), True), (base, True), (base, False),
+                              (wide, False)):
             for block in _sorted_blocks(dist, 7, 23, np.random.default_rng(2), replace):
                 assert np.all(np.diff(block, axis=1) >= 0)
 
@@ -415,15 +419,24 @@ class TestSortedBlocks:
 
     @pytest.mark.parametrize("budget", [7, 20, 50])
     def test_resampled_rows_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        """Resampled rows, with replacement or without, do not depend on the block size.
+
+        7 of 60 values without replacement is drawn a block at a time. The one
+        exception is a subset row drawn again for lack of distinct values: its
+        draws follow its block, so the rows from it on depend on where the
+        block ends. At seed 8 no row is drawn again.
+        """
         # 1, 2 and 7 rows of n = 7 per block: blocks of 7, 14 and 49 indices
-        base = EmpiricalDistribution(np.arange(40.0) ** 2)
+        base = EmpiricalDistribution(np.arange(60.0) ** 2)
 
-        def rows():
-            return np.concatenate(list(_sorted_blocks(base, 7, 23, np.random.default_rng(8))))
+        def rows(replace):
+            return np.concatenate(list(_sorted_blocks(base, 7, 23, np.random.default_rng(8),
+                                                      replace)))
 
-        unblocked = rows()
+        unblocked = [rows(True), rows(False)]
         monkeypatch.setattr(wshift.distributions, "_BLOCK_SCALARS", budget)
-        assert np.array_equal(rows(), unblocked)
+        assert np.array_equal(rows(True), unblocked[0])
+        assert np.array_equal(rows(False), unblocked[1])
 
     def test_resampling_without_replacement_yields_distinct_indices(self, small_budget):
         base = EmpiricalDistribution(np.arange(10.0))  # value k sits at index k
@@ -448,6 +461,81 @@ class TestSortedBlocks:
         base = EmpiricalDistribution(np.arange(5.0))
         with pytest.raises(ParameterError, match="without replacement"):
             next(_sorted_blocks(base, 6, 3, np.random.default_rng(6), replace=False))
+
+
+def _assert_uniform_subsets(rows, N: int) -> None:
+    """Each row is an increasing n-subset of ``range(N)``, and each of the
+    C(N, n) subsets appears at its expected frequency.
+
+    A subset's count over R rows is Binomial(R, 1/C). The bound is 5 standard
+    deviations: a two-sided chance of 5.7e-7 for one subset, and below 1.2e-3
+    over the 2024 subsets of the largest case.
+    """
+    rows = np.asarray(rows).astype(np.int64)
+    reps, n = rows.shape
+    assert np.all(np.diff(rows, axis=1) > 0) and rows.min() >= 0 and rows.max() < N
+    _, counts = np.unique(rows @ N ** np.arange(n), return_counts=True)
+    p = 1.0 / math.comb(N, n)
+    assert counts.size == math.comb(N, n)  # every subset appears
+    assert np.all(np.abs(counts - reps * p) <= 5.0 * math.sqrt(reps * p * (1.0 - p)))
+
+
+class CountingDraws:
+    """A generator that records the shape of each ``integers`` draw."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = np.random.default_rng(seed), []
+
+    def integers(self, *args, size, **kwargs):
+        self.shapes.append(size)
+        return self.rng.integers(*args, size=size, **kwargs)
+
+
+class TestSubsetsWithoutReplacement:
+    """Exactness of subsampling without replacement, on both of its paths."""
+
+    @pytest.mark.parametrize("N, n", [(9, 1), (9, 2), (9, 4)])
+    def test_every_subset_is_equally_likely(self, N, n):
+        # 8n <= N draws 1 of 9 a block at a time; 2 and 4 of 9 one row at a time
+        base = EmpiricalDistribution(np.arange(float(N)))  # value k sits at index k
+        reps = 400 * math.comb(N, n)
+        _assert_uniform_subsets(np.concatenate(list(_sorted_blocks(
+            base, n, reps, np.random.default_rng(14), replace=False))), N)
+
+    @pytest.mark.parametrize("N, n", [(9, 2), (9, 4), (9, 8)])
+    def test_block_subsets_are_uniform_at_any_size(self, N, n):
+        # the block sampler is exact for every n <= N, not only where it is used
+        _assert_uniform_subsets(
+            _distinct_subsets(np.random.default_rng(15), N, n, 400 * math.comb(N, n)), N)
+
+    @pytest.mark.parametrize("N, n", [(16, 2), (24, 3)])
+    def test_redrawn_rows_stay_uniform(self, monkeypatch, N, n):
+        # with no margin a row holds only the mean number of draws, so many rows
+        # fall short of n distinct values and are drawn again at twice the width
+        monkeypatch.setattr(wshift.distributions, "_SUBSET_SDS", 0.0)
+        monkeypatch.setattr(wshift.distributions, "_SUBSET_PAD", 0)
+        base = EmpiricalDistribution(np.arange(float(N)))
+        rng = CountingDraws(16)
+        rows = np.concatenate(list(_sorted_blocks(base, n, 400 * math.comb(N, n), rng,
+                                                  replace=False)))
+        width = _subset_width(N, n)
+        assert {shape[1] for shape in rng.shapes} >= {width, 2 * width}
+        _assert_uniform_subsets(rows, N)
+
+    def test_the_block_path_needs_8n_at_most_N(self, monkeypatch):
+        calls = []
+
+        def spy(rng, N, n, m):
+            calls.append((N, n))
+            return _distinct_subsets(rng, N, n, m)
+
+        monkeypatch.setattr(wshift.distributions, "_distinct_subsets", spy)
+        for N, n in ((80, 10), (79, 10), (8000, 1000), (8000, 1001)):
+            base = EmpiricalDistribution(np.arange(float(N)))
+            rows = np.concatenate(list(_sorted_blocks(base, n, 3, np.random.default_rng(17),
+                                                      replace=False)))
+            assert np.all(np.diff(rows, axis=1) > 0)
+        assert calls == [(80, 10), (8000, 1000)]
 
 
 # Laws drawn by inverse transform: every quantile shape ``_sorted_blocks`` maps

@@ -380,11 +380,13 @@ class TestResamplingExactMean:
     @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0, 0.05)],
                              ids=["lebesgue", "quadratic-trimmed"])
     @pytest.mark.parametrize("replace", [True, False], ids=["replace", "no-replace"])
-    @pytest.mark.parametrize("n", [1, 7, 150])
+    @pytest.mark.parametrize("n", [1, 7, 25, 150])
     def test_mean_of_the_reference_statistics(self, n, replace, omega):
+        # without replacement n = 1, 7 and 25 (8n <= 200) draw whole blocks of subsets,
+        # n = 25 in 16 blocks, and n = 150 one rng.choice call per row.
         # z = (mean - exact) / SE over 30 seeds per cell had standard deviation 0.7 to 1.2
-        # and |z| <= 3.2 (n = 7 and 150 without replacement: z = 0.4 and 0.3 at 10^6 and
-        # 4 * 10^5 draws); the bound is 4 SE at seed 41
+        # and |z| <= 3.2 (without replacement at 10^6 draws: z = 1.0 at n = 7 and -1.3 at
+        # n = 25; n = 150: z = 0.3 at 4 * 10^5); the bound is 4 SE at seed 41
         plan = plan_scaled_statistic(self.REF, omega, n)
         stats = hypotest._resampled_critical(self.REF, omega, n, 0.05, self.REPS,
                                              derive_rng(41, "exact-mean"), replace)[1]
