@@ -56,8 +56,10 @@ from .limitlaw import (
     LimitLawSampler,
     _check_critical,
     _check_quantile_reps,
-    _null_quantile,
-    theoretical_type2,
+    _order_stat_quantile,
+    _type2,
+    sample_psi_components,
+    sample_psi_null,
 )
 from .transport import (
     WeightMeasure,
@@ -65,6 +67,7 @@ from .transport import (
     lebesgue,
     plan_scaled_statistic,
     quadratic_weight,
+    w2_weighted_squared,
 )
 
 __all__ = [
@@ -322,10 +325,10 @@ class PowerMapConfig:
 def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     """Empirical Type II errors next to the boundary-law prediction.
 
-    Each delta's predictions are one :func:`~wshift.limitlaw.theoretical_type2`
-    call over all gammas at ``critical``. Includes a null-calibration cell
-    at axes (0, 0) whose ``type1`` value should sit in the binomial band
-    around the level of ``critical``.
+    Every delta's predictions at ``critical`` are read off one boundary draw
+    (stream label "law") with a cross column per delta. Includes a
+    null-calibration cell at axes (0, 0) whose ``type1`` value should sit in
+    the binomial band around the level of ``critical``.
     """
     null = uniform01()
     omega = lebesgue()
@@ -335,14 +338,14 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     [rejected] = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
     cells.append(_prob_cell((0.0, 0.0), "type1", rejected / cfg.trials, cfg.trials))
 
-    grid = BridgeGrid(cfg.grid_k)
-    for delta in cfg.deltas:
-        p = float(delta) * math.sqrt(8.0) * math.pi
-        sampler = LimitLawSampler.from_distributions(
-            null, sine_distribution(p), omega, grid,
-            seed=derive_seed(cfg.seed, "law", repr(float(delta))))
-        predicted = theoretical_type2(sampler, cfg.gammas, None, cfg.law_reps,
-                                      critical=cfg.critical)
+    ps = [float(delta) * math.sqrt(8.0) * math.pi for delta in cfg.deltas]
+    signals = [sine_distribution(p) for p in ps]
+    sampler = LimitLawSampler.from_distributions(null, omega=omega, grid=BridgeGrid(cfg.grid_k),
+                                                 seed=derive_seed(cfg.seed, "law"))
+    quad, cross = sample_psi_components(sampler, cfg.law_reps, signals=signals)
+    for j, (delta, p) in enumerate(zip(cfg.deltas, ps)):
+        predicted = _type2(quad, cross[:, j], cfg.critical,
+                           w2_weighted_squared(null, signals[j], omega), cfg.gammas)
         for gamma, theo in zip(cfg.gammas, predicted):
             [rejected] = _shift_counts(tests, "sine", p, gamma, cfg.n, cfg.trials, cfg.seed)
             cells.append(_prob_cell((delta, gamma), "type2_empirical",
@@ -434,25 +437,22 @@ class WeightComparisonConfig:
 
 
 def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
-    """Power per (a, p, gamma) with per-weight critical values and calibration."""
+    """Power and calibration per (a, p, gamma); the a != 0 critical values share one null draw."""
     null = uniform01()
-    grid = BridgeGrid(cfg.grid_k)
-    plans: dict[float, object] = {}
-    criticals: dict[float, float] = {}
-    for a in cfg.a_values:
-        omega_a = quadratic_weight(a) if a != 0.0 else lebesgue()
-        plans[a] = plan_scaled_statistic(null, omega_a, cfg.n)
-        if a == 0.0:
-            criticals[a] = cfg.critical_lebesgue
-        else:
-            sampler = LimitLawSampler.from_distributions(
-                null, omega=omega_a, grid=grid,
-                seed=derive_seed(cfg.seed, "critval-weight", repr(float(a))))
-            criticals[a] = _null_quantile(sampler, cfg.alpha, cfg.law_reps)[1]
+    omegas = {a: quadratic_weight(a) if a != 0.0 else lebesgue() for a in cfg.a_values}
+    criticals = {0.0: cfg.critical_lebesgue}
+    weighted = [a for a in cfg.a_values if a != 0.0]
+    if weighted:
+        sampler = LimitLawSampler.from_distributions(
+            null, grid=BridgeGrid(cfg.grid_k), seed=derive_seed(cfg.seed, "critval-weight"))
+        psi = sample_psi_null(sampler, cfg.law_reps, omegas=[omegas[a] for a in weighted])
+        criticals.update((a, _order_stat_quantile(psi[:, j], cfg.alpha))
+                         for j, a in enumerate(weighted))
 
     # The sample streams do not depend on a, so each block is drawn once and
     # scored by every weight's plan.
-    tests = [(_w2_statistic(plans[a]), criticals[a]) for a in cfg.a_values]
+    tests = [(_w2_statistic(plan_scaled_statistic(null, omegas[a], cfg.n)), criticals[a])
+             for a in cfg.a_values]
     type1 = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
     power = {(p, gamma): _shift_counts(tests, cfg.family, p, gamma, cfg.n, cfg.trials, cfg.seed)
              for p in cfg.p_grid for gamma in cfg.gammas}

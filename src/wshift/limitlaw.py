@@ -6,11 +6,13 @@ by the omega density. At the detection boundary (sample-size-scaled shift
 parameter equal to a constant ``gamma``) the limit gains a linear
 cross term against the quantile gap between signal and null.
 
-Bridges are simulated by pinning a scaled Gaussian random walk
-(``B_k = W_k - (k/K) W_K``), which has the exact finite-dimensional bridge
-law at the grid nodes in O(K) per path. Integrals over (0, 1) use the
+Bridges are the pinned scaled Gaussian random walk
+``B_k = (W_k - (k/K) W_K) / sqrt(K)``, which has the exact finite-dimensional
+bridge law at the grid nodes in O(K) per path. Integrals over (0, 1) use the
 trapezoid rule on the grid; with the bridge pinned to zero at both ends,
-the rule reduces to a mean over interior nodes.
+the rule reduces to a mean over interior nodes. The kernel folds the pinning
+into the coefficients and contracts the walk: ``sum c B = W.(c/sqrt K) -
+W_K sum c u/sqrt K``, ``sum d B^2 = W^2.(d/K) - W_K W.(2du/K) + W_K^2 sum d u^2/K``.
 
 A :class:`LimitLawSampler` is a plain description of the law: the null,
 the optional signal, the weight, the grid and the seed. A null without a
@@ -30,11 +32,14 @@ larger ``reps``, at every K: ``transport._row_dots`` rounds a row the same
 way whatever rows sit beside it, a lone row included.
 
 Inside a chunk the work runs in tiles of ``_BLOCK_SCALARS // K`` rows (at
-least one), reusing one walk and one bridge buffer per chunk. Each tile
-continues the chunk's stream, so the tile size bounds memory and changes
-no output. The chunks are the only streams: a critical value's standard
-error is its exact bootstrap value, and :func:`theoretical_type2` reads
-C_alpha off the quadratic column of its own boundary draws.
+least one) in one walk buffer; each tile continues the chunk's stream, so
+the tile size bounds memory and changes no output. One draw contracts a
+stack of coefficient rows (``omegas=``, ``signals=``), each alone, so its
+column is the same bit for bit whatever is stacked beside it: the power map
+draws once for all deltas (label "law"), the weight comparison once for all
+weights ("critval-weight"). The chunks are the only streams: a critical
+value's standard error is its exact bootstrap value, and
+:func:`theoretical_type2` reads C_alpha off its draws' quadratic column.
 """
 
 from __future__ import annotations
@@ -87,21 +92,6 @@ class BridgeGrid:
         return np.arange(1, self.k) / self.k
 
 
-def _bridge_batch(walk: np.ndarray, bridge: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill ``bridge`` (rows, K - 1) with bridge values at the interior nodes (exact joint law).
-
-    ``walk`` (rows, K) is scratch space; both buffers are the caller's, and
-    the draws continue ``rng``'s stream.
-    """
-    k = walk.shape[1]
-    rng.standard_normal(out=walk)
-    np.cumsum(walk, axis=1, out=walk)
-    np.multiply(walk[:, -1:], np.arange(1, k) / k, out=bridge)
-    np.subtract(walk[:, :-1], bridge, out=bridge)
-    bridge /= math.sqrt(k)
-    return bridge
-
-
 def _check_laws(null: Distribution, signal: Distribution | None, omega: WeightMeasure) -> None:
     """The null has a density, and no quantile diverges inside omega's window."""
     if null.density_fn is None:
@@ -144,7 +134,8 @@ class LimitLawSampler:
 
 def _node_coefficients(null: Distribution, signal: Distribution | None, omega: WeightMeasure,
                        u: np.ndarray, h: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Coefficients of the quadratic and (with a signal) cross integrals at nodes u of weight h."""
+    """Quadratic and (with a signal) cross coefficients at nodes u of weight h (checked laws)."""
+    _check_laws(null, signal, omega)
     w = omega.density(u)
     pf = null.density_fn(null.quantile_fn(u))
     active = w > 0.0
@@ -160,15 +151,24 @@ def _node_coefficients(null: Distribution, signal: Distribution | None, omega: W
     return c_quad, c_cross
 
 
-def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
-    """(quad, cross) per chunk of bridge rows, in chunk order."""
+def _component_batches(sampler: LimitLawSampler, reps: int, omegas: Sequence[WeightMeasure],
+                       signals: Sequence[Distribution]):
+    """(quad, cross) over ``reps`` bridges, in chunk order.
+
+    ``quad`` has a column per weight in ``omegas``, ``cross`` one per law in
+    ``signals`` (under the sampler's weight); each column is contracted alone.
+    """
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    if need_cross and sampler.signal is None:
+    if any(s is None for s in signals):
         raise ParameterError("sampler has no signal; build it with a signal distribution")
-    c_quad, c_cross = _node_coefficients(sampler.null, sampler.signal if need_cross else None,
-                                         sampler.omega, sampler.grid.nodes, 1.0 / sampler.grid.k)
-    k, reps = sampler.grid.k, int(reps)
+    k, reps, u = sampler.grid.k, int(reps), sampler.grid.nodes
+    # the walk's coefficients (module docstring)
+    quad_rows = [(d, 2.0 * u * d, _dot(d, u * u)) for d in
+                 (_node_coefficients(sampler.null, None, w, u, 1.0 / k)[0] / k for w in omegas)]
+    cross_rows = [(c, _dot(c, u)) for c in
+                  (_node_coefficients(sampler.null, s, sampler.omega, u, 1.0 / k)[1] / math.sqrt(k)
+                   for s in signals)]
     rows = max(1, _CHUNK_NORMALS // k)
     chunks = -(-reps // rows)
 
@@ -176,38 +176,54 @@ def _component_batches(sampler: LimitLawSampler, reps: int, need_cross: bool):
         rng = derive_rng(sampler.seed, "bridge-paths", i)
         n = min(rows, reps - i * rows)
         tile = min(n, max(1, _BLOCK_SCALARS // k))
-        walk, bridge = np.empty((tile, k)), np.empty((tile, k - 1))
-        quad, cross = np.empty(n), np.empty(n) if need_cross else None
+        buffer = np.empty((tile, k))
+        quad, cross = np.empty((n, len(quad_rows))), np.empty((n, len(cross_rows)))
         for lo in range(0, n, tile):
             t = min(tile, n - lo)
-            b = _bridge_batch(walk[:t], bridge[:t], rng)
-            if need_cross:
-                cross[lo:lo + t] = _row_dots(b, c_cross)
-            np.square(b, out=b)
-            quad[lo:lo + t] = _row_dots(b, c_quad)
+            walk = buffer[:t]
+            rng.standard_normal(out=walk)
+            np.cumsum(walk, axis=1, out=walk)
+            end, walk = walk[:, -1].copy(), walk[:, :-1]
+            for j, (c, cu) in enumerate(cross_rows):
+                cross[lo:lo + t, j] = _row_dots(walk, c) - end * cu
+            linear = [_row_dots(walk, du) for _, du, _ in quad_rows]
+            np.square(walk, out=walk)
+            for j, ((d, _, duu), lin) in enumerate(zip(quad_rows, linear)):
+                quad[lo:lo + t, j] = _row_dots(walk, d) - end * lin + (end * end) * duu
         return quad, cross
 
     workers = min(_available_cpus(), chunks, _MAX_WORKERS)
     if workers == 1:
-        yield from map(chunk, range(chunks))
+        quads, crosses = zip(*map(chunk, range(chunks)))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(chunk, range(chunks))
+            quads, crosses = zip(*pool.map(chunk, range(chunks)))
+    return np.concatenate(quads), np.concatenate(crosses)
 
 
-def sample_psi_null(sampler: LimitLawSampler, reps: int) -> np.ndarray:
-    """Draws of the null limit: the weighted integral of (B_u / f(F^{-1}(u)))^2."""
-    return np.concatenate([q for q, _ in _component_batches(sampler, reps, need_cross=False)])
+def sample_psi_null(sampler: LimitLawSampler, reps: int,
+                    omegas: Sequence[WeightMeasure] | None = None) -> np.ndarray:
+    """Draws of the null limit: the weighted integral of (B_u / f(F^{-1}(u)))^2.
+
+    With ``omegas``, a (reps, len(omegas)) array on shared bridges whose column j is
+    the draw for weight ``omegas[j]``.
+    """
+    psi, _ = _component_batches(sampler, reps, (sampler.omega,) if omegas is None else omegas, ())
+    return psi[:, 0] if omegas is None else psi
 
 
-def sample_psi_components(sampler: LimitLawSampler, reps: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_psi_components(sampler: LimitLawSampler, reps: int,
+                          signals: Sequence[Distribution] | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Paired draws (quadratic term, cross term) sharing one bridge per draw.
 
     The boundary limit at parameter gamma is ``quad + 2 * gamma * cross``,
-    so one pass yields the law for every gamma at once.
+    so one pass yields the law for every gamma at once. With ``signals``, ``cross``
+    is a (reps, len(signals)) array whose column j is the draw for signal ``signals[j]``.
     """
-    quads, crosses = zip(*_component_batches(sampler, reps, need_cross=True))
-    return np.concatenate(quads), np.concatenate(crosses)
+    quad, cross = _component_batches(sampler, reps, (sampler.omega,),
+                                     (sampler.signal,) if signals is None else signals)
+    return quad[:, 0], cross[:, 0] if signals is None else cross
 
 
 @dataclass(frozen=True)
@@ -288,6 +304,12 @@ def critical_value(sampler: LimitLawSampler, alpha: float, reps: int) -> Critica
                          _quantile_standard_error(psi, alpha))
 
 
+def _type2(quad, cross, critical: float, delta_sq: float, gammas) -> list[float]:
+    """Per gamma, the share of ``quad + 2 gamma cross <= critical - gamma^2 delta_sq``."""
+    return [float(np.mean(quad + (2.0 * g) * cross <= critical - g * g * delta_sq))
+            for g in gammas]
+
+
 def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
                       alpha: float | None, reps: int,
                       critical: float | None = None) -> float | list[float]:
@@ -308,11 +330,10 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
     else:
         _check_critical(critical)  # before any draw
     quad, cross = sample_psi_components(sampler, reps)
-    critical = _order_stat_quantile(quad, alpha) if critical is None else critical
+    critical = _order_stat_quantile(quad, alpha) if critical is None else float(critical)
     _check_critical(critical)
-    delta_sq = w2_weighted_squared(sampler.null, sampler.signal, sampler.omega)
-    type2 = [float(np.mean(quad + (2.0 * g) * cross <= float(critical) - g * g * delta_sq))
-             for g in gammas]
+    type2 = _type2(quad, cross, critical,
+                   w2_weighted_squared(sampler.null, sampler.signal, sampler.omega), gammas)
     return type2 if np.ndim(gamma) else type2[0]
 
 
@@ -330,7 +351,6 @@ def case_ii_variance(null: Distribution, signal: Distribution,
     O(resolution) time and memory.
     """
     omega = omega if omega is not None else lebesgue()
-    _check_laws(null, signal, omega)
     lo, hi = omega.window
     cell = (hi - lo) / resolution
     u = lo + (np.arange(resolution) + 0.5) * cell

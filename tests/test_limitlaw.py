@@ -21,13 +21,13 @@ from wshift.distributions import (
 )
 from wshift._seeds import derive_rng
 from wshift.errors import ParameterError, SingularDensityError, UnboundedSupportError
-from wshift.experiments import WeightComparisonConfig, run_weight_comparison
+from wshift.experiments import (PowerMapConfig, WeightComparisonConfig, run_power_map,
+                                run_weight_comparison)
 from wshift.hypotest import LimitLawCritical, TabulatedCritical, TestConfig, run_test
 from wshift.limitlaw import (
     BridgeGrid,
     LimitLawSampler,
     _CHUNK_NORMALS,
-    _bridge_batch,
     _node_coefficients,
     _null_quantile,
     _order_stat_quantile,
@@ -38,13 +38,33 @@ from wshift.limitlaw import (
     sample_psi_null,
     theoretical_type2,
 )
-from wshift.transport import lebesgue, quadratic_weight
+from wshift.transport import _row_dots, lebesgue, quadratic_weight
+
+# Largest relative gap between a draw contracted on the walk and the same draw
+# contracted on the pinned bridge (_bridge_batch), over the laws of
+# TestWalkContraction: 3.8e-13 measured for gaussian(0,1,-4,4) at K=4096 on x86-64.
+WALK_CONTRACTION_RTOL = 2e-12
 
 
 def make_sampler(signal=None, omega=None, k=1024, seed=0):
     return LimitLawSampler.from_distributions(
         uniform01(), signal, omega if omega is not None else lebesgue(),
         BridgeGrid(k), seed=seed)
+
+
+def _bridge_batch(walk, bridge, rng):
+    """Fill ``bridge`` (rows, K - 1) with bridge values at the interior nodes (exact joint law).
+
+    The pinned-bridge oracle: ``B_k = (W_k - (k/K) W_K) / sqrt(K)`` on the walk of
+    ``rng``'s normals, with ``walk`` (rows, K) as scratch space.
+    """
+    k = walk.shape[1]
+    rng.standard_normal(out=walk)
+    np.cumsum(walk, axis=1, out=walk)
+    np.multiply(walk[:, -1:], np.arange(1, k) / k, out=bridge)
+    np.subtract(walk[:, :-1], bridge, out=bridge)
+    bridge /= math.sqrt(k)
+    return bridge
 
 
 def bridges(k, rows, rng):
@@ -96,6 +116,84 @@ class TestBridgeSimulation:
         walk = np.cumsum(z, axis=1)
         pinned_end = walk[0, -1] - (k / k) * walk[0, -1]
         assert pinned_end == 0.0
+
+
+class TestWalkContraction:
+    """The kernel contracts the walk; the pinned bridge of _bridge_batch is its oracle."""
+
+    @pytest.mark.parametrize("null, signal, omega", [
+        (uniform01(), sine_distribution(0.8), lebesgue()),
+        (uniform01(), sine_distribution(0.5), quadratic_weight(2.0)),
+        # tail nodes where W_j ~ u_j W_K carry the largest coefficients: the most cancellation
+        (gaussian(0.0, 1.0, -4.0, 4.0), gaussian(0.5, 1.0, -3.5, 4.5), lebesgue()),
+    ], ids=["uniform-lebesgue", "quadratic-2", "gaussian-4"])
+    def test_agrees_with_the_pinned_bridge(self, null, signal, omega):
+        k, reps, seed = 4096, 200, 71  # one chunk, so one stream: ("bridge-paths", 0)
+        s = LimitLawSampler.from_distributions(null, signal, omega, BridgeGrid(k), seed=seed)
+        quad, cross = sample_psi_components(s, reps)
+        b = bridges(k, reps, derive_rng(seed, "bridge-paths", 0))
+        c_quad, c_cross = _node_coefficients(null, signal, omega, s.grid.nodes, 1.0 / k)
+        want_cross, want_quad = _row_dots(b, c_cross), _row_dots(b * b, c_quad)
+        assert np.max(np.abs(quad - want_quad) / want_quad) <= WALK_CONTRACTION_RTOL
+        # cross terms cross zero, so their gap is measured against the largest
+        scale = np.max(np.abs(want_cross))
+        assert np.max(np.abs(cross - want_cross)) <= WALK_CONTRACTION_RTOL * scale
+
+
+class TestStackedLaws:
+    """One bridge draw serves a stack of signals or weights; no column sees the others."""
+
+    K = 256
+    REPS = 2 * (_CHUNK_NORMALS // K) + 5  # two chunks and a remainder, many tiles each
+
+    def test_signal_columns_are_the_one_signal_draws(self):
+        signals = [sine_distribution(0.2), sine_distribution(0.5), sine_distribution(0.9)]
+        s = make_sampler(k=self.K, seed=81)
+        quad, cross = sample_psi_components(s, self.REPS, signals=signals)
+        assert cross.shape == (self.REPS, len(signals))
+        for j, signal in enumerate(signals):
+            one = make_sampler(signal=signal, k=self.K, seed=81)
+            one_quad, one_cross = sample_psi_components(one, self.REPS)
+            assert np.array_equal(quad, one_quad)
+            assert np.array_equal(cross[:, j], one_cross)
+
+    def test_weight_columns_are_the_one_weight_draws(self):
+        omegas = [lebesgue(), quadratic_weight(1.0), quadratic_weight(2.0), lebesgue(trim=0.01)]
+        psi = sample_psi_null(make_sampler(k=self.K, seed=82), self.REPS, omegas=omegas)
+        assert psi.shape == (self.REPS, len(omegas))
+        for j, omega in enumerate(omegas):
+            one = make_sampler(omega=omega, k=self.K, seed=82)
+            assert np.array_equal(psi[:, j], sample_psi_null(one, self.REPS))
+
+    def test_every_stacked_law_is_checked(self):
+        with pytest.raises(ParameterError, match="signal"):
+            sample_psi_components(make_sampler(k=64), 10, signals=[sine_distribution(0.5), None])
+        with pytest.raises(UnboundedSupportError, match="trim"):
+            sample_psi_components(make_sampler(k=64), 10,
+                                  signals=[sine_distribution(0.5), gaussian(0.5, 1.0)])
+        gaussian_null = LimitLawSampler.from_distributions(
+            gaussian(0.0, 1.0), omega=lebesgue(trim=0.01), grid=BridgeGrid(64))
+        with pytest.raises(UnboundedSupportError, match="trim"):
+            sample_psi_null(gaussian_null, 10, omegas=[lebesgue(trim=0.01), lebesgue()])
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_power_map(PowerMapConfig(deltas=(0.03, 0.05, 0.07), gammas=(5.5, 9.5),
+                                             n=200, trials=20, law_reps=300, grid_k=64)),
+        lambda: run_weight_comparison(WeightComparisonConfig(
+            a_values=(0.0, 1.0, 2.0), p_grid=(0.3,), gammas=(4.0,), n=200, trials=20,
+            law_reps=300, grid_k=64)),
+    ], ids=["power-map-3-deltas", "weight-comparison-2-weights"])
+    def test_experiments_draw_the_law_once(self, monkeypatch, run):
+        batches = []
+        component_batches = wshift.limitlaw._component_batches
+
+        def recording_batches(*args, **kwargs):
+            batches.append(args)
+            return component_batches(*args, **kwargs)
+
+        monkeypatch.setattr(wshift.limitlaw, "_component_batches", recording_batches)
+        run()
+        assert len(batches) == 1
 
 
 class TestPsiNull:
@@ -248,8 +346,9 @@ class TestCriticalValue:
     @pytest.mark.parametrize("reps", [11, 15, 19])
     def test_the_largest_draw_is_never_the_quantile(self, monkeypatch, reps):
         # (1 - 0.05) * reps >= 10, but ceil(0.95 * reps) = reps: the top draw would be
-        # read as the 0.95-quantile, so every consumer rejects before a bridge is drawn
-        monkeypatch.setattr(wshift.limitlaw, "_bridge_batch", lambda *a: pytest.fail("drew"))
+        # read as the 0.95-quantile, so every consumer rejects before a bridge is drawn;
+        # every chunk of the kernel draws its normals from its own derive_rng stream
+        monkeypatch.setattr(wshift.limitlaw, "derive_rng", lambda *a: pytest.fail("drew"))
         rule = r"ceil\(\(1 - alpha\) \* reps\) < reps"
         s = make_sampler(signal=sine_distribution(0.5), k=256, seed=1)
         with pytest.raises(ParameterError, match=rule):
