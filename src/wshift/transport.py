@@ -14,10 +14,14 @@ rules:
 * everything else takes 8-node Gauss-Legendre panels no wider than 1/32,
   with geometric refinement toward the window endpoints so that the mild
   endpoint singularities of bounded quantiles (e.g. truncated Gaussians)
-  are integrated accurately. The nodes and weights are built on first use,
-  so importing the module does not load ``numpy.polynomial``.
+  are integrated accurately. The panels are laid out and evaluated a block
+  of at most ``_BLOCK_SCALARS // 8`` nodes at a time, so the memory of a
+  distance or plan beyond its O(n) slot arrays stays within one work tile
+  at any n. The 8-node rule is built on first use, so importing the module
+  does not load ``numpy.polynomial``.
 
-``_quadrature`` gives the points of the first and third rules. The batched
+``_quadrature`` gives the points of the first and third rules, block by
+block; its consumers sum over the blocks. The batched
 statistic ``n W2^2(sample, null)`` has one plan layout for every null (see
 :class:`StatisticPlan`); a single sample is scored with it against the
 identity quantile, and other distances integrate the gap directly. Every
@@ -35,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .distributions import (
     AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
+    _BLOCK_SCALARS,
     _cdf_from_quantile,
 )
 from .errors import ParameterError, UnboundedSupportError
@@ -144,16 +149,18 @@ _END_REFINE_WIDTH = 1e-13
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """8-node Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    """8-node Gauss-Legendre nodes and weights on [0, 1], built on first use."""
     x, w = np.polynomial.legendre.leggauss(8)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def _refine_panels(lefts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Geometrically split the outermost panels toward the window endpoints."""
-    if widths.size and widths[0] > _END_REFINE_WIDTH:
+def _refine_panels(lefts: np.ndarray, widths: np.ndarray, first: bool,
+                   last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Geometrically split the first and/or the last panel toward the window endpoints."""
+    if first and widths[0] > _END_REFINE_WIDTH:
         l0, w0 = lefts[0], widths[0]
         levels = max(1, int(math.ceil(math.log2(w0 / _END_REFINE_WIDTH))))
         cuts = w0 * (0.5 ** np.arange(levels + 1))  # w0, w0/2, ..., ~1e-13
@@ -161,7 +168,7 @@ def _refine_panels(lefts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, n
         new_w = np.concatenate(([cuts[-1]], -np.diff(cuts)[::-1]))
         lefts = np.concatenate((new_l, lefts[1:]))
         widths = np.concatenate((new_w, widths[1:]))
-    if widths.size and widths[-1] > _END_REFINE_WIDTH:
+    if last and widths[-1] > _END_REFINE_WIDTH:
         w1 = widths[-1]
         r1 = lefts[-1] + w1
         levels = max(1, int(math.ceil(math.log2(w1 / _END_REFINE_WIDTH))))
@@ -173,29 +180,19 @@ def _refine_panels(lefts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, n
     return lefts, widths
 
 
-def _panel_layout(edges: np.ndarray, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lefts, widths) of quadrature panels tiling the given segments, refined at both ends."""
-    edges = np.asarray(edges, dtype=float)
+def _panel_layout(edges: np.ndarray, max_panel: float, first: bool,
+                  last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(lefts, widths) of panels tiling the segments between strictly increasing ``edges``.
+
+    ``first`` and ``last`` say whether the segments begin and end the window,
+    whose outermost panels are refined.
+    """
     lengths = np.diff(edges)
-    keep = lengths > 0.0
-    starts, lengths = edges[:-1][keep], lengths[keep]
-    if starts.size == 0:
-        return np.empty(0), np.empty(0)
     counts = np.maximum(1, np.ceil(lengths / max_panel).astype(np.int64))
     widths = np.repeat(lengths / counts, counts)
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    lefts = np.repeat(starts, counts) + offsets * widths
-    return _refine_panels(lefts, widths)
-
-
-def _panel_nodes(edges: np.ndarray, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened Gauss-Legendre nodes and weights for the panel layout."""
-    lefts, widths = _panel_layout(edges, max_panel)
-    half = 0.5 * widths
-    gl_x, gl_w = _gauss_legendre()
-    nodes = lefts[:, None] + half[:, None] * (gl_x + 1.0)[None, :]
-    wts = half[:, None] * gl_w[None, :]
-    return nodes.ravel(), wts.ravel()
+    offsets = np.arange(widths.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lefts = np.repeat(edges[:-1], counts) + offsets * widths
+    return _refine_panels(lefts, widths, first, last)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +235,31 @@ def _row_dots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _quadrature(edges: np.ndarray, omega: WeightMeasure, *laws: Distribution,
-                max_panel: float = _DEFAULT_MAX_PANEL) -> tuple[np.ndarray, np.ndarray]:
-    """Points and omega-weights integrating a function of the laws' quantiles over ``edges``.
+                max_panel: float = _DEFAULT_MAX_PANEL) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of points and omega-weights integrating a function of the laws' quantiles.
 
-    ``edges`` must hold every quantile breakpoint of the laws. When every
-    law's quantile is constant between them (a data sample, or the
-    displacement between two), each segment gets its midpoint and its exact
-    omega-mass; otherwise the points are Gauss-Legendre panel nodes.
+    The points increase within and across blocks over the segments between
+    ``edges``, which must increase strictly and hold every quantile breakpoint
+    of the laws. When every law's quantile is constant between them (a data sample,
+    or the displacement between two), one block holds each segment's midpoint
+    and its exact omega-mass. Otherwise the points are Gauss-Legendre panel
+    nodes: the panels are laid out ``_BLOCK_SCALARS // 64`` segments at a time
+    and yielded at most that many at a time, so no block exceeds
+    ``_BLOCK_SCALARS // 8`` nodes.
     """
-    if not all(d.quantile_is_step for d in laws):
-        nodes, wts = _panel_nodes(edges, max_panel)
-        return nodes, omega.density_fn(nodes) * wts
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids, np.diff(_polyval(_antiderivative(omega.poly), edges))
+    if all(d.quantile_is_step for d in laws):
+        yield 0.5 * (edges[:-1] + edges[1:]), np.diff(_polyval(_antiderivative(omega.poly), edges))
+        return
+    gl_x, gl_w = _gauss_legendre()
+    block = _BLOCK_SCALARS // 64
+    segments = edges.size - 1
+    for start in range(0, segments, block):
+        lefts, widths = _panel_layout(edges[start:start + block + 1], max_panel,
+                                      start == 0, start + block >= segments)
+        for i in range(0, widths.size, block):
+            width = widths[i:i + block, None]
+            nodes = (lefts[i:i + block, None] + width * gl_x).ravel()
+            yield nodes, omega.density_fn(nodes) * (width * gl_w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +268,11 @@ def _quadrature(edges: np.ndarray, omega: WeightMeasure, *laws: Distribution,
 
 def _gap_power_integral(mu: Distribution, nu: Distribution, omega: WeightMeasure,
                         power: float) -> float:
-    points, weights = _quadrature(_segment_edges(omega, mu, nu), omega, mu, nu)
-    gap = mu.quantile_fn(points) - nu.quantile_fn(points)
-    integrand = gap * gap if power == 2.0 else np.abs(gap) ** power
-    return _dot(integrand, weights)
+    total = 0.0
+    for points, weights in _quadrature(_segment_edges(omega, mu, nu), omega, mu, nu):
+        gap = mu.quantile_fn(points) - nu.quantile_fn(points)
+        total += _dot(gap * gap if power == 2.0 else np.abs(gap) ** power, weights)
+    return total
 
 
 def w2_weighted_squared(mu: Distribution, nu: Distribution,
@@ -475,13 +485,17 @@ def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
         # the null's breakpoints (an empirical null's jumps included) split the
         # slots, so every segment sees a smooth or constant null quantile
         edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
-        points, w = _quadrature(edges, omega, null, max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n))
-        # each point belongs to the sample slot whose constancy interval contains it
-        slot = np.minimum(np.searchsorted(grid[1:-1], points, side="left"), n - 1)
-        dev = null.quantile_fn(points) - base[slot]
-        m0 = np.bincount(slot, weights=w, minlength=n)
-        s1 = np.bincount(slot, weights=w * dev, minlength=n)
-        s2 = _dot(w * dev, dev)
+        m0, s1, s2 = np.zeros(n), np.zeros(n), 0.0
+        for points, w in _quadrature(edges, omega, null,
+                                     max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n)):
+            # each point belongs to the sample slot whose constancy interval
+            # contains it; a block's points are increasing, so its slots are a range
+            slot = np.minimum(np.searchsorted(grid[1:-1], points, side="left"), n - 1)
+            dev = null.quantile_fn(points) - base[slot]
+            lo, hi = slot[0], slot[-1] + 1
+            m0[lo:hi] += np.bincount(slot - lo, weights=w)
+            s1[lo:hi] += np.bincount(slot - lo, weights=w * dev)
+            s2 += _dot(w * dev, dev)
     shift = np.divide(s1, m0, out=s1, where=m0 > 0.0)  # the center's offset from base
     return StatisticPlan(n, m0, base + shift, s2 - _dot(m0 * shift, shift))
 

@@ -74,18 +74,25 @@ class TestWassersteinStatistic:
         got = wasserstein_statistic(EmpiricalDistribution(x), uniform01())
         assert abs(got - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0)],
-                             ids=["lebesgue", "quadratic"])
-    def test_large_sample_against_uniform_memory(self, omega):
+    @pytest.mark.parametrize("null, omega, bound_mib", [
         # O(n) closed form per slot (eight Gauss-Legendre nodes per slot peaked near 370 MiB)
+        pytest.param(uniform01(), lebesgue(), 128, id="lebesgue"),
+        pytest.param(uniform01(), quadratic_weight(2.0), 128, id="quadratic"),
+        # panels evaluated a block at a time peak at 31.5 MiB; all 8e6 nodes at
+        # once peaked at 305 MiB
+        pytest.param(gaussian(0.0, 1.0, -4.0, 4.0), lebesgue(), 40, id="gaussian-lebesgue"),
+        pytest.param(gaussian(0.0, 1.0, -4.0, 4.0), quadratic_weight(2.0, trim=0.01), 40,
+                     id="gaussian-quadratic-trimmed"),
+    ])
+    def test_large_sample_against_uniform_memory(self, null, omega, bound_mib):
         data = EmpiricalDistribution(np.random.default_rng(4).random(1_000_000))
         tracemalloc.start()
         try:
-            wasserstein_statistic(data, uniform01(), omega)
+            wasserstein_statistic(data, null, omega)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2 ** 20
+        assert peak < bound_mib * 2 ** 20
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wshift.transport
 from wshift.distributions import (
     EmpiricalDistribution,
     affine,
@@ -24,6 +25,7 @@ from wshift.errors import ParameterError, UnboundedSupportError
 from wshift.transport import (
     Histogram,
     _fd_edges,
+    _panel_layout,
     _quadrature,
     _segment_edges,
     displacement_interpolate,
@@ -247,7 +249,7 @@ class TestDisplacementInterpolation:
             mid = displacement_interpolate(a, b, t)
             assert mid.quantile_is_step
             edges = _segment_edges(lebesgue(), a, mid)
-            points, weights = _quadrature(edges, lebesgue(), a, mid)
+            [(points, weights)] = _quadrature(edges, lebesgue(), a, mid)  # one block
             assert points.size == edges.size - 1
             assert math.isclose(weights.sum(), 1.0, rel_tol=1e-14)
             assert math.isclose(w2_weighted(a, mid), t * total, rel_tol=1e-14)
@@ -407,22 +409,75 @@ class TestStatisticPlan:
 
     @pytest.mark.parametrize("omega", [lebesgue(), quadratic_weight(2.0, trim=0.01)],
                              ids=["lebesgue", "quadratic-trimmed"])
-    def test_large_empirical_null_memory(self, omega):
+    @pytest.mark.parametrize("make_null, n, bound_mib", [
         # a data null's quantile is constant between its jumps: one point per
         # segment (eight Gauss-Legendre nodes per segment peaked near 370 MiB)
-        null = EmpiricalDistribution(np.random.default_rng(10).normal(size=1_000_000))
+        pytest.param(lambda: EmpiricalDistribution(np.random.default_rng(10).normal(size=1_000_000)),
+                     1000, 128, id="data"),
+        # panels evaluated a block at a time peak at 12.2 MiB; all 2.6e6 nodes
+        # at once peaked at 108 MiB
+        pytest.param(lambda: gaussian(0.0, 1.0, -4.0, 4.0), 200_000, 16, id="gaussian"),
+    ])
+    def test_large_empirical_null_memory(self, make_null, n, bound_mib, omega):
+        null = make_null()
         tracemalloc.start()
         try:
-            plan_scaled_statistic(null, omega, 1000)
+            plan_scaled_statistic(null, omega, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2 ** 20
+        assert peak < bound_mib * 2 ** 20
 
     def test_size_mismatch_rejected(self):
         plan = plan_scaled_statistic(uniform01(), lebesgue(), 10)
         with pytest.raises(ParameterError):
             scaled_statistics(np.zeros((2, 9)), plan)
+
+
+class TestPanelBlocks:
+    """Panels evaluated a block at a time give the numbers of one block of every panel."""
+
+    # a block of 64 scalars lays out one segment; this one holds every segment below
+    ONE_BLOCK = 64 << 20
+
+    @staticmethod
+    def _values():
+        null = gaussian(0.0, 1.0, -4.0, 4.0)
+        tail = tail_distribution(0.2)  # breakpoints at 0.2 and 0.8
+        x = EmpiricalDistribution(np.clip(np.random.default_rng(12).normal(size=2000), -3.9, 3.9))
+        values = [w2_weighted_squared(x, null, omega)
+                  for omega in (lebesgue(), quadratic_weight(2.0, trim=0.01))]
+        values.append(w2_weighted_squared(tail, gaussian(0.5, 0.2, 0.0, 1.0)))
+        values += [wp_distance(tail, null, p) for p in (1.0, 3.0)]
+        return np.array(values), plan_scaled_statistic(null, quadratic_weight(2.0, trim=0.01), 1500)
+
+    @pytest.mark.parametrize("segments", [1, 3, 512])
+    def test_blocks_agree_with_one_block(self, monkeypatch, segments):
+        monkeypatch.setattr(wshift.transport, "_BLOCK_SCALARS", self.ONE_BLOCK)
+        want, want_plan = self._values()
+        monkeypatch.setattr(wshift.transport, "_BLOCK_SCALARS", 64 * segments)
+        got, plan = self._values()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for field in ("m0", "center", "spread"):
+            np.testing.assert_allclose(getattr(plan, field), getattr(want_plan, field),
+                                       rtol=1e-12, atol=0.0, err_msg=field)
+
+    @pytest.mark.parametrize("segments", [1, 3, 512])
+    def test_blocks_hold_the_flat_layout(self, monkeypatch, segments):
+        # only the window's first and last panel are refined, never a block's
+        null, tail = gaussian(0.0, 1.0, -4.0, 4.0), tail_distribution(0.2)
+        x = EmpiricalDistribution(np.random.default_rng(13).random(1100))
+        omega = quadratic_weight(2.0, trim=0.01)
+        edges = _segment_edges(omega, x, tail, null)
+        flat_panels = _panel_layout(edges, 1.0 / 32.0, True, True)[1].size
+        monkeypatch.setattr(wshift.transport, "_BLOCK_SCALARS", self.ONE_BLOCK)
+        [(want_points, want_weights)] = _quadrature(edges, omega, x, tail, null)
+        monkeypatch.setattr(wshift.transport, "_BLOCK_SCALARS", 64 * segments)
+        blocks = list(_quadrature(edges, omega, x, tail, null))
+        assert all(points.size <= 8 * segments for points, _ in blocks)
+        assert want_points.size == 8 * flat_panels
+        assert np.array_equal(np.concatenate([points for points, _ in blocks]), want_points)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), want_weights)
 
 
 class TestRowContraction:
