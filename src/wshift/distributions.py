@@ -2,16 +2,17 @@
 
 Every law exposes the same fields, whether it is analytic or a data
 sample: ``name``, the vectorized callables ``quantile_fn`` / ``cdf_fn`` /
-``density_fn`` (``None`` when there is no density), ``support`` (an
+``density_fn`` (``None`` when there is no density; each returns a new
+array, or its input where it is the identity), ``support`` (an
 infinite end means the quantile diverges there), ``quantile_breakpoints``
 (points of (0, 1) where the quantile jumps or changes formula; the grid
 ``k/n`` for a sample), ``quantile_is_identity`` and ``quantile_is_step``
 (the quantile is constant between its breakpoints, as a sample's is).
 Distances, transport paths, statistics and limit laws read these fields
 and need not know which kind of law they hold, and every law is drawn by
-:func:`_sorted_blocks`. A law given by its quantile alone (a perturbation
-family, a displacement) gets its CDF from :func:`_bisect` over a fixed
-bracket. The public :meth:`quantile` / :meth:`cdf` methods add
+:func:`_interleaved_blocks`. A law given by its quantile alone (a
+perturbation family, a displacement) gets its CDF from :func:`_bisect` over
+a fixed bracket. The public :meth:`quantile` / :meth:`cdf` methods add
 domain validation and scalar passthrough on top of the callables.
 
 Analytic laws (:class:`AnalyticDistribution`) store the fields directly;
@@ -39,13 +40,17 @@ Conventions
 * Sorted samples of a law drawn by inverse transform sort the uniforms
   first and then apply the quantile, which gives the same values as sorting
   after the quantile (a block whose quantile rounds a row out of order is
-  sorted again). When a call spans two or more blocks and the process may
-  use more than one CPU, one worker thread draws and sorts the next block
-  of uniforms while the caller maps and scores the current one; the worker
-  touches only the generator and ``ndarray.sort``. Resampled data blocks
-  are drawn inline, and a subsample of n of N values without replacement
-  is drawn a block at a time while 8n <= N. Outputs depend on neither the
-  order of sorting nor the core count.
+  sorted again). One call may draw several cells, each a law with its own
+  generator, whose blocks it interleaves round-robin
+  (:func:`_interleaved_blocks`; :func:`_sorted_blocks` is its one-cell
+  case). When a call spans two or more blocks and the process may use more
+  than one CPU, one worker thread draws and sorts the uniforms of the next
+  two scheduled blocks, each from its own cell's stream, while the caller
+  maps and scores the current one; the worker touches only the generators
+  and ``ndarray.sort``. Resampled data blocks are drawn inline, and a
+  subsample of n of N values without replacement is drawn a block at a
+  time while 8n <= N. Outputs depend on neither the order of sorting, the
+  interleaving nor the core count.
 * :func:`gaussian` imports scipy's ``ndtr`` / ``ndtri`` when it is called,
   as the limit law's critical-value standard error imports ``betainc``; so
   importing the package never loads scipy, nor does a command that builds no
@@ -54,12 +59,13 @@ Conventions
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -94,6 +100,8 @@ _BLOCK_SCALARS = 1 << 15
 # deviations, plus _SUBSET_PAD. A row that still falls short is redrawn.
 _SUBSET_SDS = 8.0
 _SUBSET_PAD = 2
+# Sample blocks whose uniforms a worker thread draws and sorts ahead of the caller.
+_AHEAD = 2
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -187,7 +195,9 @@ class EmpiricalDistribution:
 
     @property
     def quantile_breakpoints(self) -> np.ndarray:
-        return np.arange(1, self.n) / self.n
+        grid = np.arange(1, self.n, dtype=float)
+        grid /= self.n
+        return grid
 
     def quantile_fn(self, u: np.ndarray) -> np.ndarray:
         idx = np.clip(np.ceil(self.n * u).astype(np.int64), 1, self.n)
@@ -525,24 +535,29 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _one_block_ahead(draw: Callable[[int], np.ndarray], sizes: list[int]) -> Iterator[np.ndarray]:
-    """``draw(m)`` for each ``m`` in ``sizes``, in order.
+def _drawn_ahead(draw: Callable[..., np.ndarray], jobs: list[tuple]) -> Iterator[np.ndarray]:
+    """``draw(*job)`` for each job in ``jobs``, in order.
 
-    With two or more sizes and more than one CPU, one worker thread runs the
-    next ``draw`` while the caller uses the current result; the calls still
-    run one at a time and in order. Closing the generator waits for the
-    draw in flight, so no worker outlives it.
+    With two or more jobs and more than one CPU, one worker thread runs the
+    next ``_AHEAD`` draws while the caller uses the current result; the
+    draws still run one at a time and in order. Closing the generator
+    cancels the draws not yet started and waits for the one running, so no
+    worker outlives it.
     """
-    if len(sizes) < 2 or _available_cpus() < 2:
-        yield from map(draw, sizes)
+    if len(jobs) < 2 or _available_cpus() < 2:
+        yield from (draw(*job) for job in jobs)
         return
-    with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(draw, sizes[0])
-        for m in sizes[1:]:
-            done = pending.result()
-            pending = pool.submit(draw, m)
+    pool = ThreadPoolExecutor(1)
+    try:
+        pending = collections.deque(pool.submit(draw, *job) for job in jobs[:_AHEAD])
+        for job in jobs[_AHEAD:]:
+            done = pending.popleft().result()
+            pending.append(pool.submit(draw, *job))
             yield done
-        yield pending.result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _subset_width(N: int, n: int) -> int:
@@ -588,53 +603,77 @@ def _distinct_subsets(rng: np.random.Generator, N: int, n: int, m: int) -> np.nd
     return out
 
 
-def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generator,
-                   replace: bool = True) -> Iterator[np.ndarray]:
-    """``reps`` sorted samples of size ``n`` from ``dist``, in memory-bounded blocks.
+def _sorted_uniforms(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """``m`` rows of ``n`` open uniforms from ``rng``, each row sorted."""
+    u = _open_uniforms(rng, m * n).reshape(m, n)
+    u.sort(axis=1)
+    return u
 
-    A block holds at most ``_BLOCK_SCALARS`` values (one row if n is larger).
-    Laws are drawn by inverse transform: each block's uniforms are sorted
-    (on a worker thread, one block ahead, when :func:`_one_block_ahead` uses
-    one) and mapped through ``quantile_fn`` on the caller's thread. A data
-    sample of N values is resampled by index inline: with replacement, or
-    without it a block at a time by :func:`_distinct_subsets` while
-    8n <= N, and one ``rng.choice`` call per row for larger n, where that is
-    faster. Each draw continues the stream, so the rows depend on neither
-    the thread nor the block size, with one exception: a subset row that
-    :func:`_distinct_subsets` redraws takes its draws after its block, so
-    the rows from it on depend on where the block ends. The generator owns
-    ``rng`` until it is exhausted or closed.
+
+def _resampled_block(dist: EmpiricalDistribution, rng: np.random.Generator, n: int, m: int,
+                     replace: bool) -> np.ndarray:
+    """``m`` sorted rows of ``n`` values drawn from a data sample by index."""
+    if replace:
+        block = dist.values[rng.integers(0, dist.n, size=(m, n))]
+        block.sort(axis=1)
+    elif 8 * n <= dist.n <= 2 ** 31:
+        block = dist.values[_distinct_subsets(rng, dist.n, n, m)]  # sorted indices
+    else:
+        block = np.stack([rng.choice(dist.values, size=n, replace=False) for _ in range(m)])
+        block.sort(axis=1)
+    return block
+
+
+def _interleaved_blocks(cells: Sequence[tuple[Distribution, np.random.Generator]], n: int,
+                        reps: int, replace: bool = True) -> Iterator[tuple[int, np.ndarray]]:
+    """``(cell, block)``: ``reps`` sorted samples of size ``n`` from each cell's law.
+
+    ``cells`` holds ``(dist, rng)`` pairs, each with its own generator. Every
+    cell is cut into the same blocks of at most ``_BLOCK_SCALARS`` values (one
+    row if n is larger), and the blocks come round-robin: the first block of
+    every cell, then the second, and so on. Laws are drawn by inverse
+    transform: a block's uniforms are drawn and sorted (on a worker thread,
+    two blocks ahead, when :func:`_drawn_ahead` uses one) and mapped through
+    ``quantile_fn`` on the caller's thread, which also checks that the rows
+    are still sorted. A data sample of N values is resampled by index inline
+    (:func:`_resampled_block`): with replacement, or without it a block at a
+    time by :func:`_distinct_subsets` while 8n <= N, and one ``rng.choice``
+    call per row for larger n, where that is faster. Each cell's draws
+    continue its own stream in order, so its rows depend on neither the
+    thread, the other cells nor the block size, with one exception: a subset
+    row that :func:`_distinct_subsets` redraws takes its draws after its
+    block, so the rows from it on depend on where the block ends. The
+    generator owns the cells' generators until it is exhausted or closed.
     """
-    resample = isinstance(dist, EmpiricalDistribution)
-    if resample and not replace and n > dist.n:
-        raise ParameterError(
-            f"cannot subsample {n} from {dist.n} observations without replacement")
+    resampled = [isinstance(dist, EmpiricalDistribution) for dist, _ in cells]
+    for (dist, _), data in zip(cells, resampled):
+        if data and not replace and n > dist.n:
+            raise ParameterError(
+                f"cannot subsample {n} from {dist.n} observations without replacement")
     rows = max(1, _BLOCK_SCALARS // max(n, 1))
-    sizes = [min(rows, reps - done) for done in range(0, reps, rows)]
-    if resample:
-        for m in sizes:
-            if replace:
-                block = dist.values[rng.integers(0, dist.n, size=(m, n))]
-                block.sort(axis=1)
-            elif 8 * n <= dist.n <= 2 ** 31:
-                block = dist.values[_distinct_subsets(rng, dist.n, n, m)]  # sorted indices
-            else:
-                block = np.stack([rng.choice(dist.values, size=n, replace=False)
-                                  for _ in range(m)])
-                block.sort(axis=1)
-            yield block
-        return
-
-    def sorted_uniforms(m: int) -> np.ndarray:
-        u = _open_uniforms(rng, m * n).reshape(m, n)
-        u.sort(axis=1)
-        return u
-
-    with contextlib.closing(_one_block_ahead(sorted_uniforms, sizes)) as uniforms:
-        for u in uniforms:
-            block = dist.quantile_fn(u)
+    schedule = [(c, min(rows, reps - done)) for done in range(0, reps, rows)
+                for c in range(len(cells))]
+    ahead = [(cells[c][1], n, m) for c, m in schedule if not resampled[c]]
+    with contextlib.closing(_drawn_ahead(_sorted_uniforms, ahead)) as uniforms:
+        for c, m in schedule:
+            dist, rng = cells[c]
+            if resampled[c]:
+                yield c, _resampled_block(dist, rng, n, m, replace)
+                continue
+            block = dist.quantile_fn(next(uniforms))
             # the same multiset as sorting after the quantile; a quantile that
             # rounds (or is not monotone) can leave a row out of order
             if not np.all(block[:, 1:] >= block[:, :-1]):
                 block.sort(axis=1)
-            yield block
+            yield c, block
+
+
+def _sorted_blocks(dist: Distribution, n: int, reps: int, rng: np.random.Generator,
+                   replace: bool = True) -> Iterator[np.ndarray]:
+    """``reps`` sorted samples of size ``n`` from ``dist``, in memory-bounded blocks.
+
+    The one-cell case of :func:`_interleaved_blocks`, with its blocks and
+    draws.
+    """
+    for _, block in _interleaved_blocks([(dist, rng)], n, reps, replace):
+        yield block

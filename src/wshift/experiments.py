@@ -15,9 +15,12 @@ Null samples are draws of the null; alternative samples are draws of
 ``displacement_interpolate(null, signal, eps)``, the law a fraction eps of
 the way along the transport path, whose quantile ``(1 - eps) F^{-1} +
 eps G^{-1}`` maps one uniform stream through both laws at once. One block
-evaluator, ``_counts``, draws every cell's samples with
-:func:`~wshift.distributions._sorted_blocks` on the cell's labeled stream
-and scores them with every test at once. Given the same (seed, family, p,
+evaluator, ``_counts``, takes every cell of an experiment in one call: it
+draws each cell's samples on the cell's labeled stream with
+:func:`~wshift.distributions._interleaved_blocks`, which interleaves the
+cells block by block (so a worker thread can draw and sort the uniforms of
+the next two blocks while the caller maps a costly quantile), and scores
+every block with every test at once. Given the same (seed, family, p,
 gamma, n, trials), :func:`run_ks_comparison` and
 :func:`run_weight_comparison` therefore see identical samples, so the
 unit-weight column of the latter reproduces the former exactly.
@@ -43,7 +46,7 @@ from ._seeds import derive_rng, derive_seed
 from .distributions import (
     AnalyticDistribution,
     Distribution,
-    _sorted_blocks,
+    _interleaved_blocks,
     gaussian,
     sine_distribution,
     tail_distribution,
@@ -214,27 +217,34 @@ def _family_distribution(family: str, p: float) -> AnalyticDistribution:
     raise ParameterError(f"unknown signal family {family!r}; use 'sine' or 'tail'")
 
 
-def _counts(tests, dist: Distribution, n: int, trials: int, seed: int, *label) -> list[int]:
-    """Rejections per test over ``trials`` sorted samples of size n from ``dist``.
+def _counts(tests, cells: list[tuple[Distribution, tuple]], n: int, trials: int,
+            seed: int) -> list[list[int]]:
+    """Rejections per cell and test over ``trials`` sorted samples of size n per cell.
 
-    The samples come from the stream ``label`` under ``seed``; every grid cell
-    of every experiment is evaluated here.
+    ``cells`` holds ``(dist, label)`` pairs: a cell's samples are draws of
+    ``dist`` from the stream ``label`` under ``seed``. Every cell of an
+    experiment is drawn in this one call, its blocks interleaved with the
+    other cells' by :func:`~wshift.distributions._interleaved_blocks`.
     """
-    rng = derive_rng(seed, *label)
-    return _reject_counts(_sorted_blocks(dist, n, trials, rng), tests)
+    blocks = _interleaved_blocks([(dist, derive_rng(seed, *label)) for dist, label in cells],
+                                 n, trials)
+    return _reject_counts(blocks, tests, len(cells))
 
 
-def _shift_counts(tests, family: str, p: float, gamma: float, n: int, trials: int,
-                  seed: int) -> list[int]:
-    """:func:`_counts` for samples shifted ``gamma / sqrt(n)`` toward ``family(p)``.
+def _shift_cells(family: str, grid: list[tuple[float, float]],
+                 n: int) -> list[tuple[Distribution, tuple]]:
+    """:func:`_counts` cells of samples shifted ``gamma / sqrt(n)`` toward ``family(p)``.
 
-    The stream is labeled by (family, p, gamma, n) alone, so experiments run
-    with the same seed see identical samples.
+    One cell per ``(p, gamma)`` in ``grid``. A cell's stream is labeled by
+    (family, p, gamma, n) alone, so experiments run with the same seed see
+    identical samples.
     """
-    shifted = displacement_interpolate(uniform01(), _family_distribution(family, p),
-                                       _clamped_eps(gamma, n))
-    return _counts(tests, shifted, n, trials, seed,
-                   "shift-trials", family, repr(float(p)), repr(float(gamma)), n)
+    cells = []
+    for p, gamma in grid:
+        shifted = displacement_interpolate(uniform01(), _family_distribution(family, p),
+                                           _clamped_eps(gamma, n))
+        cells.append((shifted, ("shift-trials", family, repr(float(p)), repr(float(gamma)), n)))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +280,14 @@ def run_phase_transition(cfg: PhaseConfig) -> ResultTable:
     """Type I, Type II and their sum for each decay exponent beta."""
     tests = [(_w2_statistic(plan_scaled_statistic(cfg.null, cfg.omega, cfg.n)),
               cfg.critical)]
-    cells: list[Cell] = []
+    draws = []
     for beta in cfg.betas:
         shifted = displacement_interpolate(cfg.null, cfg.signal, float(cfg.n) ** (-beta))
-        [rej_null] = _counts(tests, cfg.null, cfg.n, cfg.trials, cfg.seed,
-                             "phase-null", repr(float(beta)), cfg.n)
-        [rej_alt] = _counts(tests, shifted, cfg.n, cfg.trials, cfg.seed,
-                            "phase-alt", repr(float(beta)), cfg.n)
+        draws += [(cfg.null, ("phase-null", repr(float(beta)), cfg.n)),
+                  (shifted, ("phase-alt", repr(float(beta)), cfg.n))]
+    counts = _counts(tests, draws, cfg.n, cfg.trials, cfg.seed)
+    cells: list[Cell] = []
+    for beta, [rej_null], [rej_alt] in zip(cfg.betas, counts[::2], counts[1::2]):
         type1 = rej_null / cfg.trials
         type2 = 1.0 - rej_alt / cfg.trials
         c1 = _prob_cell((beta,), "type1", type1, cfg.trials)
@@ -333,21 +344,22 @@ def run_power_map(cfg: PowerMapConfig) -> ResultTable:
     null = uniform01()
     omega = lebesgue()
     tests = [(_w2_statistic(plan_scaled_statistic(null, omega, cfg.n)), cfg.critical)]
-    cells: list[Cell] = []
-
-    [rejected] = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
-    cells.append(_prob_cell((0.0, 0.0), "type1", rejected / cfg.trials, cfg.trials))
-
     ps = [float(delta) * math.sqrt(8.0) * math.pi for delta in cfg.deltas]
+    draws = [(null, ("null-trials", cfg.n)),
+             *_shift_cells("sine", [(p, gamma) for p in ps for gamma in cfg.gammas], cfg.n)]
+    [[rejected], *shifted] = _counts(tests, draws, cfg.n, cfg.trials, cfg.seed)
+    power = dict(zip([(delta, gamma) for delta in cfg.deltas for gamma in cfg.gammas], shifted))
+    cells = [_prob_cell((0.0, 0.0), "type1", rejected / cfg.trials, cfg.trials)]
+
     signals = [sine_distribution(p) for p in ps]
     sampler = LimitLawSampler.from_distributions(null, omega=omega, grid=BridgeGrid(cfg.grid_k),
                                                  seed=derive_seed(cfg.seed, "law"))
     quad, cross = sample_psi_components(sampler, cfg.law_reps, signals=signals)
-    for j, (delta, p) in enumerate(zip(cfg.deltas, ps)):
+    for j, delta in enumerate(cfg.deltas):
         predicted = _type2(quad, cross[:, j], cfg.critical,
                            w2_weighted_squared(null, signals[j], omega), cfg.gammas)
         for gamma, theo in zip(cfg.gammas, predicted):
-            [rejected] = _shift_counts(tests, "sine", p, gamma, cfg.n, cfg.trials, cfg.seed)
+            [rejected] = power[delta, gamma]
             cells.append(_prob_cell((delta, gamma), "type2_empirical",
                                     1.0 - rejected / cfg.trials, cfg.trials))
             cells.append(_prob_cell((delta, gamma), "type2_theoretical",
@@ -385,18 +397,14 @@ def run_ks_comparison(cfg: ComparisonConfig) -> ResultTable:
     omega = lebesgue()
     tests = [(_w2_statistic(plan_scaled_statistic(null, omega, cfg.n)), cfg.critical),
              (lambda block: ks_statistics_sorted(block, null), cfg.ks_critical)]
-    cells: list[Cell] = []
-
-    rej_w, rej_ks = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
-    cells.append(_prob_cell((0.0, 0.0), "type1_w2", rej_w / cfg.trials, cfg.trials))
-    cells.append(_prob_cell((0.0, 0.0), "type1_ks", rej_ks / cfg.trials, cfg.trials))
-
-    for p in cfg.p_grid:
-        for gamma in cfg.gammas:
-            rej_w, rej_ks = _shift_counts(tests, cfg.family, p, gamma, cfg.n, cfg.trials,
-                                          cfg.seed)
-            cells.append(_prob_cell((p, gamma), "power_w2", rej_w / cfg.trials, cfg.trials))
-            cells.append(_prob_cell((p, gamma), "power_ks", rej_ks / cfg.trials, cfg.trials))
+    grid = [(p, gamma) for p in cfg.p_grid for gamma in cfg.gammas]
+    draws = [(null, ("null-trials", cfg.n)), *_shift_cells(cfg.family, grid, cfg.n)]
+    [(rej_w, rej_ks), *shifted] = _counts(tests, draws, cfg.n, cfg.trials, cfg.seed)
+    cells = [_prob_cell((0.0, 0.0), "type1_w2", rej_w / cfg.trials, cfg.trials),
+             _prob_cell((0.0, 0.0), "type1_ks", rej_ks / cfg.trials, cfg.trials)]
+    for (p, gamma), (rej_w, rej_ks) in zip(grid, shifted):
+        cells.append(_prob_cell((p, gamma), "power_w2", rej_w / cfg.trials, cfg.trials))
+        cells.append(_prob_cell((p, gamma), "power_ks", rej_ks / cfg.trials, cfg.trials))
     return ResultTable(("p", "gamma"), tuple(cells),
                        _config_echo(cfg, "ks_comparison", null=null, omega=omega))
 
@@ -453,9 +461,10 @@ def run_weight_comparison(cfg: WeightComparisonConfig) -> ResultTable:
     # scored by every weight's plan.
     tests = [(_w2_statistic(plan_scaled_statistic(null, omegas[a], cfg.n)), criticals[a])
              for a in cfg.a_values]
-    type1 = _counts(tests, null, cfg.n, cfg.trials, cfg.seed, "null-trials", cfg.n)
-    power = {(p, gamma): _shift_counts(tests, cfg.family, p, gamma, cfg.n, cfg.trials, cfg.seed)
-             for p in cfg.p_grid for gamma in cfg.gammas}
+    grid = [(p, gamma) for p in cfg.p_grid for gamma in cfg.gammas]
+    draws = [(null, ("null-trials", cfg.n)), *_shift_cells(cfg.family, grid, cfg.n)]
+    [type1, *shifted] = _counts(tests, draws, cfg.n, cfg.trials, cfg.seed)
+    power = dict(zip(grid, shifted))
 
     cells = [_prob_cell((a, 0.0, 0.0), "type1", type1[i] / cfg.trials, cfg.trials)
              for i, a in enumerate(cfg.a_values)]

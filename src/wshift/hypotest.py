@@ -31,6 +31,7 @@ Kolmogorov-Smirnov statistic is included as a comparator.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -43,6 +44,7 @@ from .distributions import (
     AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
+    _interleaved_blocks,
     _sorted_blocks,
 )
 from .errors import ParameterError
@@ -102,10 +104,25 @@ def ks_statistics_sorted(sorted_samples: np.ndarray, null: Distribution) -> np.n
     x = np.atleast_2d(np.asarray(sorted_samples, dtype=float))
     n = x.shape[1]
     f = null.cdf_fn(x.ravel()).reshape(x.shape)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f, axis=1)
-    d_minus = np.max(f - (i - 1) / n, axis=1)
+    upper, lower = _ks_steps(n)
+    gap = np.subtract(upper, f)  # the one array written here, never F: a CDF may return x
+    d_plus = np.max(gap, axis=1)
+    d_minus = np.max(np.subtract(f, lower, out=gap), axis=1)
     return math.sqrt(n) * np.maximum(d_plus, d_minus)
+
+
+@functools.lru_cache(maxsize=1)
+def _ks_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The empirical CDF's values ``i/n`` after and ``(i - 1)/n`` before the i-th point.
+
+    Kept for the last n, at which an experiment scores all its rows, and read-only,
+    since every call shares them.
+    """
+    i = np.arange(1, n + 1)
+    steps = i / n, (i - 1) / n
+    for a in steps:
+        a.flags.writeable = False
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +230,20 @@ def _w2_statistic(plan) -> Statistic:
     return lambda block: scaled_statistics(block, plan)
 
 
-def _reject_counts(blocks: Iterable[np.ndarray],
-                   tests: list[tuple[Statistic, float]]) -> list[int]:
-    """Rejections of each ``(statistic, critical value)`` pair over all blocks.
+def _reject_counts(blocks: Iterable[tuple[int, np.ndarray]],
+                   tests: list[tuple[Statistic, float]], cells: int = 1) -> list[list[int]]:
+    """Rejections per cell of each ``(statistic, critical value)`` pair over all blocks.
 
-    Each block of sorted samples is generated once and scored by every
-    statistic; a row is rejected when its statistic exceeds the critical value.
+    ``blocks`` yields ``(cell, block)`` pairs, as
+    :func:`~wshift.distributions._interleaved_blocks` does, for cells
+    ``0 .. cells - 1``. Each block of sorted samples is generated once and
+    scored by every statistic; a row is rejected when its statistic exceeds
+    the critical value.
     """
-    counts = [0] * len(tests)
-    for block in blocks:
+    counts = [[0] * len(tests) for _ in range(cells)]
+    for cell, block in blocks:
         for i, (statistic, critical) in enumerate(tests):
-            counts[i] += int(np.count_nonzero(statistic(block) > critical))
+            counts[cell][i] += int(np.count_nonzero(statistic(block) > critical))
     return counts
 
 
@@ -302,7 +322,7 @@ def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistrib
     statistic, _, critical = _resampled_critical(
         reference, lebesgue(), n, alpha, reps,
         derive_rng(derive_seed(seed, "null-critval"), "resampling-critval"), replace)
-    [rejected] = _reject_counts(
-        _sorted_blocks(shifted, n, trials, derive_rng(seed, "alt-trials"), replace),
+    [[rejected]] = _reject_counts(
+        _interleaved_blocks([(shifted, derive_rng(seed, "alt-trials"))], n, trials, replace),
         [(statistic, critical)])
     return rejected / trials

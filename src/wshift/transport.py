@@ -209,13 +209,33 @@ def _check_integrable(dist: Distribution, omega: WeightMeasure) -> None:
 
 
 def _segment_edges(omega: WeightMeasure, *dists: Distribution) -> np.ndarray:
+    """The window's ends and every law's quantile breakpoints inside it, increasing.
+
+    The laws' breakpoints are merged from the fewest to the most, so a
+    sample's grid of ``n - 1`` breakpoints is copied once, by the last merge.
+    """
     lo, hi = omega.window
-    pts = [np.array([lo, hi])]
+    inside = []
     for d in dists:
         b = np.asarray(d.quantile_breakpoints, dtype=float)
-        if b.size:
-            pts.append(b[(b > lo) & (b < hi)])
-    return np.unique(np.concatenate(pts))
+        if not np.all(b[1:] > b[:-1]):  # a sample's grid already increases
+            b = np.unique(b)
+        inside.append(b[np.searchsorted(b, lo, side="right"):np.searchsorted(b, hi)])
+    edges = np.array([lo, hi])
+    for b in sorted(inside, key=len):
+        edges = _merge_increasing(edges, b)
+    return edges
+
+
+def _merge_increasing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The values of two strictly increasing arrays, strictly increasing."""
+    if a.size < b.size:
+        a, b = b, a
+    if not b.size:
+        return a
+    at = np.searchsorted(a, b)
+    new = a[np.minimum(at, a.size - 1)] != b
+    return np.insert(a, at[new], b[new])
 
 
 def _dot(v: np.ndarray, w: np.ndarray) -> float:
@@ -395,7 +415,15 @@ def displacement_interpolate(source: Distribution, target: Distribution,
     e = float(eps)
 
     def quantile(u):
-        return (1.0 - e) * qa(u) + e * qb(u)
+        # the same bits as (1 - e) qa(u) + e qb(u), with one temporary: qb(u) is
+        # scaled in place unless it is u itself, as the identity quantile returns
+        q = qb(u)
+        if np.may_share_memory(q, u):
+            q = e * q
+        else:
+            q *= e
+        q += (1.0 - e) * qa(u)
+        return q
 
     cdf = _cdf_from_quantile(quantile, _CDF_CLIP, 1.0 - _CDF_CLIP)
     bks = np.unique(np.concatenate([source.quantile_breakpoints,

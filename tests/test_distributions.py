@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -17,6 +18,7 @@ from wshift.distributions import (
     EmpiricalDistribution,
     _bisect,
     _distinct_subsets,
+    _interleaved_blocks,
     _open_uniforms,
     _sorted_blocks,
     _subset_width,
@@ -550,10 +552,29 @@ INVERSE_TRANSFORM_LAWS = {
 }
 
 
-class TestSortedUniforms:
-    """Sorting the uniforms before the quantile, with one block drawn ahead."""
+class SharedDraws:
+    """A generator's ``random`` that counts calls across every instance of one ``log``.
 
-    @pytest.fixture(params=[1, 2], ids=["inline", "one-ahead"])
+    Each call records its thread; the call numbered ``fail`` raises, and the
+    calls after the first wait for ``gate`` when one is given.
+    """
+
+    def __init__(self, seed, log, fail=None, gate=None):
+        self.rng, self.log, self.fail, self.gate = np.random.default_rng(seed), log, fail, gate
+
+    def random(self, size):
+        self.log.append(threading.get_ident())
+        if self.gate is not None and len(self.log) > 1:
+            self.gate.wait()
+        if len(self.log) == self.fail:
+            raise RuntimeError("draw failed")
+        return self.rng.random(size)
+
+
+class TestSortedUniforms:
+    """Sorting the uniforms before the quantile, with two blocks drawn ahead."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "worker"])
     def cpus(self, request, monkeypatch):
         monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: request.param)
         return request.param
@@ -599,6 +620,80 @@ class TestSortedUniforms:
         before = threading.active_count()
         blocks = _sorted_blocks(uniform01(), 1000, 300, FailsOnSecondBlock())
         next(blocks)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(blocks)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, reps, budget", [(7, 23, 50), (1000, 300, 1 << 15)],
+                             ids=["short-last-block", "tile"])
+    def test_interleaved_rows_equal_each_cell_drawn_alone(self, monkeypatch, cpus, n, reps,
+                                                          budget):
+        # 7 rows per block, 4 blocks of 7, 7, 7 and 2 rows; or 32 rows, the last block 12;
+        # a resampled cell rides along, drawn inline between the others
+        monkeypatch.setattr(wshift.distributions, "_BLOCK_SCALARS", budget)
+        laws = [*INVERSE_TRANSFORM_LAWS.values(), EmpiricalDistribution(np.arange(40.0))]
+        cells = [(dist, np.random.default_rng(c)) for c, dist in enumerate(laws)]
+        order, rows = [], {c: [] for c in range(len(laws))}
+        for c, block in _interleaved_blocks(cells, n, reps):
+            order.append(c)
+            rows[c].append(block)
+        blocks = -(-reps // max(1, budget // n))
+        assert order == list(range(len(laws))) * blocks  # round-robin
+        for c, dist in enumerate(laws):
+            alone = np.concatenate(list(_sorted_blocks(dist, n, reps, np.random.default_rng(c))))
+            assert np.concatenate(rows[c]).tobytes() == alone.tobytes()
+
+    def test_closing_with_two_draws_in_flight_leaves_no_worker(self, monkeypatch):
+        # the second draw waits for the gate while the third is queued behind it
+        monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: 2)
+        log, gate = [], threading.Event()
+        cells = [(uniform01(), SharedDraws(c, log, gate=gate)) for c in range(3)]
+        before = threading.active_count()
+        blocks = _interleaved_blocks(cells, 1000, 100)
+        next(blocks)
+        assert threading.active_count() == before + 1
+        opener = threading.Timer(1.0, gate.set)
+        opener.start()
+        blocks.close()
+        opener.join()
+        assert len(log) == 2  # the queued draw was cancelled, not run
+        assert threading.active_count() == before
+
+    def test_the_worker_draws_two_blocks_ahead(self, monkeypatch):
+        # while the caller holds the first block, draws 2 and 3 run, and no fourth
+        monkeypatch.setattr(wshift.distributions, "_available_cpus", lambda: 2)
+        log = []
+        blocks = _interleaved_blocks([(uniform01(), SharedDraws(c, log)) for c in range(2)],
+                                     1000, 100)
+        next(blocks)
+        deadline = time.monotonic() + 10.0
+        while len(log) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.05)
+        assert len(log) == 3
+        blocks.close()
+
+    def test_at_most_one_worker_thread(self, cpus):
+        log = []
+        cells = [(dist, SharedDraws(c, log)) for c, dist in enumerate(
+            INVERSE_TRANSFORM_LAWS.values())]
+        before = threading.active_count()
+        for _ in _interleaved_blocks(cells, 1000, 100):
+            assert threading.active_count() <= before + 1
+        workers = set(log) - {threading.get_ident()}
+        assert len(workers) == cpus - 1
+        assert len(log) == 4 * len(cells)  # 4 blocks of at most 32 rows per cell
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail", [2, 3], ids=["first-slot", "second-slot"])
+    def test_a_failed_draw_in_either_slot_reaches_the_caller(self, cpus, fail):
+        # after the first block, draws 2 and 3 are the two in flight on a worker
+        log = []
+        cells = [(uniform01(), SharedDraws(c, log, fail=fail)) for c in range(2)]
+        before = threading.active_count()
+        blocks = _interleaved_blocks(cells, 1000, 100)
+        for _ in range(fail - 1):
+            next(blocks)
         with pytest.raises(RuntimeError, match="draw failed"):
             next(blocks)
         assert threading.active_count() == before

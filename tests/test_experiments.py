@@ -13,7 +13,12 @@ import wshift.distributions
 import wshift.experiments
 import wshift.limitlaw
 from wshift._seeds import derive_rng
-from wshift.distributions import _sorted_blocks, sine_distribution, uniform01
+from wshift.distributions import (
+    _sorted_blocks,
+    sine_distribution,
+    tail_distribution,
+    uniform01,
+)
 from wshift.cli import main
 from wshift.errors import ParameterError
 from wshift.experiments import (
@@ -32,6 +37,7 @@ from wshift.transport import (
     displacement_interpolate,
     lebesgue,
     plan_scaled_statistic,
+    quadratic_weight,
     scaled_statistics,
 )
 
@@ -177,7 +183,7 @@ class TestPowerMap:
     @pytest.mark.parametrize("gammas", ["0,5", "5,-1"])
     def test_nonpositive_gamma_rejected_before_any_trial(self, monkeypatch, capsys, gammas):
         drawn = []
-        monkeypatch.setattr(wshift.experiments, "_sorted_blocks",
+        monkeypatch.setattr(wshift.experiments, "_interleaved_blocks",
                             lambda *args, **kwargs: drawn.append(args) or iter(()))
         code = main(["powermap", "--gammas", gammas, "--deltas", "0.03", "--n", "500",
                      "--trials", "20", "--law-reps", "100", "--grid-k", "64"])
@@ -238,6 +244,71 @@ class TestKsComparison:
             rejected = int(np.count_nonzero(stat > critical))
             assert 0 < rejected < cfg.trials
             assert rejected == round(cell.value * cell.trials)
+
+
+def _rejected(plan, critical, dist, n: int, trials: int, seed: int, *label) -> int:
+    """Rows of one cell, drawn alone on its labelled stream, whose statistic exceeds critical."""
+    rows = np.concatenate(list(_sorted_blocks(dist, n, trials, derive_rng(seed, *label))))
+    return int(np.count_nonzero(scaled_statistics(rows, plan) > critical))
+
+
+class TestTablesRebuiltCellByCell:
+    """Every cell of a table equals its cell drawn alone: interleaving moves no draw."""
+
+    def test_phase(self):
+        cfg = PhaseConfig(n=2000, betas=(0.2, 0.5, 0.8), trials=40, seed=21)
+        table = run_phase_transition(cfg)
+        plan = plan_scaled_statistic(cfg.null, cfg.omega, cfg.n)
+        for beta in cfg.betas:
+            shifted = displacement_interpolate(cfg.null, cfg.signal, float(cfg.n) ** -beta)
+            null = _rejected(plan, cfg.critical, cfg.null, cfg.n, cfg.trials, cfg.seed,
+                             "phase-null", repr(beta), cfg.n)
+            alt = _rejected(plan, cfg.critical, shifted, cfg.n, cfg.trials, cfg.seed,
+                            "phase-alt", repr(beta), cfg.n)
+            assert table.cell("type1", beta).value == null / cfg.trials
+            assert table.cell("type2", beta).value == 1.0 - alt / cfg.trials
+
+    def test_power_map(self):
+        cfg = PowerMapConfig(deltas=(0.03, 0.07), gammas=(5.5, 9.5), n=2000, trials=30,
+                             law_reps=100, grid_k=64, seed=22)
+        table = run_power_map(cfg)
+        null = uniform01()
+        plan = plan_scaled_statistic(null, lebesgue(), cfg.n)
+        type1 = _rejected(plan, cfg.critical, null, cfg.n, cfg.trials, cfg.seed,
+                          "null-trials", cfg.n)
+        assert table.cell("type1", 0.0, 0.0).value == type1 / cfg.trials
+        for delta in cfg.deltas:
+            p = delta * math.sqrt(8.0) * math.pi
+            for gamma in cfg.gammas:
+                shifted = displacement_interpolate(null, sine_distribution(p),
+                                                   gamma / math.sqrt(cfg.n))
+                rejected = _rejected(plan, cfg.critical, shifted, cfg.n, cfg.trials,
+                                     cfg.seed, "shift-trials", "sine", repr(p), repr(gamma),
+                                     cfg.n)
+                assert (table.cell("type2_empirical", delta, gamma).value
+                        == 1.0 - rejected / cfg.trials)
+
+    def test_weight_comparison(self):
+        cfg = WeightComparisonConfig(a_values=(0.0, 2.0), p_grid=(0.2, 0.4), gammas=(4.0, 10.0),
+                                     n=2000, trials=30, law_reps=100, grid_k=64, seed=23)
+        table = run_weight_comparison(cfg)
+        null = uniform01()
+        criticals = table.config["critical_values"]
+        for a in cfg.a_values:
+            omega = quadratic_weight(a) if a else lebesgue()
+            plan = plan_scaled_statistic(null, omega, cfg.n)
+            critical = criticals[f"{a:g}"]
+            type1 = _rejected(plan, critical, null, cfg.n, cfg.trials, cfg.seed,
+                              "null-trials", cfg.n)
+            assert table.cell("type1", a, 0.0, 0.0).value == type1 / cfg.trials
+            for p in cfg.p_grid:
+                for gamma in cfg.gammas:
+                    shifted = displacement_interpolate(null, tail_distribution(p),
+                                                       gamma / math.sqrt(cfg.n))
+                    rejected = _rejected(plan, critical, shifted, cfg.n, cfg.trials,
+                                         cfg.seed, "shift-trials", "tail", repr(p), repr(gamma),
+                                         cfg.n)
+                    assert table.cell("power", a, p, gamma).value == rejected / cfg.trials
 
 
 class TestWeightComparison:
@@ -343,7 +414,7 @@ def test_out_of_domain_fields_fail_at_construction(case):
         raise AssertionError("drawn before the config was checked")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wshift.experiments, "_sorted_blocks", reached)
+        mp.setattr(wshift.experiments, "_interleaved_blocks", reached)
         for psi in ("sample_psi_null", "sample_psi_components"):
             mp.setattr(wshift.limitlaw, psi, reached)
         with pytest.raises(ParameterError):
@@ -363,7 +434,7 @@ def test_out_of_domain_fields_fail_at_construction(case):
 def test_cli_rejects_an_out_of_domain_config_before_any_draw(monkeypatch, capsys, tmp_path,
                                                              argv, message):
     drawn = []
-    monkeypatch.setattr(wshift.experiments, "_sorted_blocks",
+    monkeypatch.setattr(wshift.experiments, "_interleaved_blocks",
                         lambda *args, **kwargs: drawn.append(args) or iter(()))
     code = main([*argv, "--n", "500", "--trials", "20", "--out", str(tmp_path / "out")])
     assert code == 1

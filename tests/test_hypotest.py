@@ -1,5 +1,6 @@
 """Tests for the goodness-of-fit statistics, decision rule, and resampling ops."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -172,6 +173,22 @@ class TestKsStatistic:
         assert ks_statistics_sorted(shifted.values, uniform01())[0] > 1.36
         calm = sample(uniform01(), 1000, seed=3)
         assert ks_statistics_sorted(calm.values, uniform01())[0] < 1.36
+
+    @pytest.mark.parametrize("null", [
+        uniform01(), tail_distribution(0.3),
+        dataclasses.replace(uniform01(), cdf_fn=lambda x: x),
+    ], ids=["uniform", "tail", "cdf-returns-its-input"])
+    def test_bits_of_the_formula_and_the_rows_kept(self, null):
+        # twice per size, so the second call reads the cached steps
+        for n in (500, 37, 500):
+            x = np.sort(np.random.default_rng(n).random((4, n)), axis=1)
+            kept = x.copy()
+            f = null.cdf_fn(kept.copy())
+            i = np.arange(1, n + 1)
+            want = math.sqrt(n) * np.maximum(np.max(i / n - f, axis=1),
+                                             np.max(f - (i - 1) / n, axis=1))
+            assert ks_statistics_sorted(x, null).tobytes() == want.tobytes()
+            assert x.tobytes() == kept.tobytes()
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -416,7 +433,8 @@ class TestResamplingPower:
 
     def test_needs_ten_draws_at_or_below_the_quantile(self, monkeypatch):
         # (1 - 0.5) * 19 < 10, though the quantile, the 10th of 19 draws, is not the top one
-        monkeypatch.setattr(hypotest, "_sorted_blocks", lambda *a: pytest.fail("drew"))
+        for name in ("_sorted_blocks", "_interleaved_blocks"):  # reference and trials
+            monkeypatch.setattr(hypotest, name, lambda *a: pytest.fail("drew"))
         ref = sample(uniform01(), 200, seed=32)
         with pytest.raises(ParameterError, match="too small"):
             resampling_power(ref, ref, 10, 0.5, trials=20, reps=19, seed=33)

@@ -236,6 +236,23 @@ class TestDisplacementInterpolation:
         with pytest.raises(ParameterError):
             displacement_interpolate(uniform01(), uniform01(), 1.5)
 
+    @pytest.mark.parametrize("source, target", [
+        (uniform01(), gaussian(0.0, 1.0, -8.0, 8.0)),
+        (uniform01(), tail_distribution(0.3)),
+        (gaussian(0.0, 1.0, -8.0, 8.0), uniform01()),
+        (uniform01(), uniform01()),
+    ], ids=["to-gaussian", "to-tail", "to-identity", "identity-both"])
+    def test_quantile_keeps_its_input(self, source, target):
+        # the bits of (1 - e) qa(u) + e qb(u); the identity quantile returns u
+        # itself, and the sorted uniforms it maps must not change
+        e = 0.37
+        u = np.sort(np.random.default_rng(14).random((3, 500)), axis=1)
+        kept = u.copy()
+        got = displacement_interpolate(source, target, e).quantile_fn(u)
+        want = (1.0 - e) * source.quantile_fn(kept) + e * target.quantile_fn(kept)
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == kept.tobytes()
+
     def test_between_samples_is_a_step_law(self):
         # its quantile is constant between the union of the two jump grids, so a
         # distance to it takes one midpoint per segment, as between two samples
@@ -375,6 +392,13 @@ class TestRelativeDistanceCurve:
 
 
 class TestStatisticPlan:
+    def test_scoring_keeps_the_rows(self):
+        x = np.sort(np.random.default_rng(15).random((3, 300)), axis=1)
+        kept = x.copy()
+        for null in (uniform01(), gaussian(0.5, 0.2, 0.0, 1.0)):
+            scaled_statistics(x, plan_scaled_statistic(null, lebesgue(), 300))
+        assert x.tobytes() == kept.tobytes()
+
     def test_plan_matches_direct_distance(self):
         rng = np.random.default_rng(5)
         values = np.sort(rng.random(200))
@@ -432,6 +456,41 @@ class TestStatisticPlan:
         plan = plan_scaled_statistic(uniform01(), lebesgue(), 10)
         with pytest.raises(ParameterError):
             scaled_statistics(np.zeros((2, 9)), plan)
+
+
+def _segment_edges_by_unique(omega, *dists):
+    """The window's ends and the laws' breakpoints inside it, by one np.unique."""
+    lo, hi = omega.window
+    pts = [np.array([lo, hi])]
+    for d in dists:
+        b = np.asarray(d.quantile_breakpoints, dtype=float)
+        if b.size:
+            pts.append(b[(b > lo) & (b < hi)])
+    return np.unique(np.concatenate(pts))
+
+
+class TestSegmentEdges:
+    """Breakpoints merged into a sample's grid give the edges of one np.unique."""
+
+    @given(n=st.integers(1, 40), m=st.integers(1, 25), trim=st.sampled_from([0.0, 0.1, 0.25]),
+           picks=st.lists(st.integers(0, 200), max_size=12),
+           extra=st.lists(st.floats(-0.5, 1.5), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    @example(n=10, m=4, trim=0.1, picks=[8, 9, 9, 0, 40, 41], extra=[])
+    def test_edges_equal_the_unique_of_every_breakpoint(self, n, m, trim, picks, extra):
+        # the law's breakpoints, unsorted and repeated, are drawn from the sample's
+        # grid, the window's ends, points outside the window and any others
+        omega = lebesgue(trim)
+        candidates = np.concatenate([np.arange(1, n) / n, [trim, 1.0 - trim, 0.0, 1.0, 0.5],
+                                     extra])
+        law = dataclasses.replace(uniform01(), quantile_breakpoints=tuple(
+            float(candidates[i % candidates.size]) for i in picks))
+        rng = np.random.default_rng(n)
+        x, y = EmpiricalDistribution(rng.random(n)), EmpiricalDistribution(rng.random(m))
+        for dists in ((x, law), (law, x), (law,), (x,), (x, y), (x, law, tail_distribution(0.5)),
+                      (uniform01(),)):
+            got = _segment_edges(omega, *dists)
+            assert got.tobytes() == _segment_edges_by_unique(omega, *dists).tobytes()
 
 
 class TestPanelBlocks:
