@@ -16,9 +16,7 @@ from .distributions import (
     gaussian,
     sample,
     sine_distribution,
-    sine_quantile,
     tail_distribution,
-    tail_quantile,
     truncate,
     two_point,
     uniform01,

@@ -91,7 +91,7 @@ from .hypotest import (
     TabulatedCritical,
     TestConfig,
     _default_source,
-    resampling_power,
+    _resampling_power,
     run_test,
 )
 from .limitlaw import BridgeGrid, LimitLawSampler, critical_value
@@ -101,6 +101,7 @@ from .transport import (
     _fd_edges,
     displacement_interpolate,
     lebesgue,
+    plan_scaled_statistic,
     quadratic_weight,
     relative_distance_curve,
     tv_distance,
@@ -209,8 +210,16 @@ def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ","
         raise DataFormatError(f"{path}: {shown}{more}")
 
 
+def _run_starts(labels: np.ndarray) -> np.ndarray:
+    """Indices of the rows that begin a run of equal adjacent labels."""
+    starts = np.empty(labels.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(labels[1:], labels[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _load_columns(path: Path, value_column, label_column=None, delimiter: str = ",",
-                  header: bool = True) -> tuple[Optional[list[str]], np.ndarray]:
+                  header: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
     """``(labels, values)`` of the data rows that :func:`_read_rows` accepts.
 
     The header is found as :func:`_read_rows` finds it; numpy's C parser then
@@ -218,8 +227,9 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
     Files it rejects (among them whitespace-only and ``,,`` rows, ``1_000``,
     and every malformed row, which needs its line number), files with a
     non-finite value and labels with a line break go through
-    :func:`_read_rows`. ``labels`` is None without a label column; labels
-    are stripped, as :func:`_read_rows` strips them.
+    :func:`_read_rows`. ``labels`` is None without a label column, else an
+    object array of the labels stripped, as :func:`_read_rows` strips them:
+    numpy's labels are stripped once per run of equal adjacent labels.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -241,13 +251,20 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
         except ValueError:
             pass
         else:
-            values = table if l_idx is None else table["value"]
-            labels = None if l_idx is None else table["label"].tolist()
-            # numpy reads "\r" and "\r\n" as "\n", inside a quoted label too
-            if np.isfinite(values).all() and (labels is None or "\n" not in "".join(labels)):
-                return None if labels is None else [label.strip() for label in labels], values
+            if l_idx is None:
+                if np.isfinite(table).all():
+                    return None, table
+            else:
+                labels, values = table["label"], table["value"]
+                starts = _run_starts(labels)
+                heads = labels[starts].tolist()
+                # numpy reads "\r" and "\r\n" as "\n", inside a quoted label too
+                if np.isfinite(values).all() and "\n" not in "".join(heads):
+                    stripped = np.array([head.strip() for head in heads], dtype=object)
+                    return np.repeat(stripped, np.diff(starts, append=labels.size)), values
     rows = list(_read_rows(path, value_column, label_column, delimiter, header))
-    labels = None if label_column is None else [label for label, _ in rows]
+    labels = None if label_column is None else np.array([label for label, _ in rows],
+                                                        dtype=object)
     return labels, np.array([value for _, value in rows], dtype=float)
 
 
@@ -256,7 +273,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
 
     Periods keep the order in which they first appear. Malformed rows are
     reported with their line numbers (all of them, up to ten, in one error)
-    instead of failing on the first.
+    instead of failing on the first. A run of rows with equal labels is
+    coded by one lookup; when every period is one run, the rows are
+    grouped already and are not sorted.
     """
     schema = schema if schema is not None else CsvSchema()
     path = Path(path)
@@ -264,11 +283,15 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
                                    schema.delimiter, schema.header)
     if values.size == 0:
         raise DataFormatError(f"{path}: no data rows")
+    starts = _run_starts(labels)
     periods: dict[str, int] = {}
-    codes = np.fromiter((periods.setdefault(label, len(periods)) for label in labels),
-                        np.intp, len(labels))
-    groups = np.split(values[np.argsort(codes, kind="stable")],
-                      np.cumsum(np.bincount(codes))[:-1])
+    run_codes = [periods.setdefault(label, len(periods)) for label in labels[starts].tolist()]
+    if len(run_codes) == len(periods):
+        groups = np.split(values, starts[1:])
+    else:
+        codes = np.repeat(np.array(run_codes, dtype=np.intp), np.diff(starts, append=labels.size))
+        groups = np.split(values[np.argsort(codes, kind="stable")],
+                          np.cumsum(np.bincount(codes))[:-1])
     for label, group in zip(periods, groups):
         if group.size < 2:
             raise DataFormatError(
@@ -673,10 +696,11 @@ def _cmd_interpolate(opts_values: dict) -> tuple[int, dict]:
                 for t, h in zip(ts, mixtures)]
     tv_curve[0], tv_curve[-1] = 0.0, 1.0
 
-    u_cells = [f"{ui:.10g}," for ui in u.tolist()]  # the same u column in every table
+    # the same u column in every table: each table is one %-format of its quantiles
+    table = "u,quantile\n" + "".join(f"{ui:.10g},%.10g\n" for ui in u.tolist())
 
     def quantile_csv(q: np.ndarray) -> str:
-        return "u,quantile\n" + "".join(f"{a}{qi:.10g}\n" for a, qi in zip(u_cells, q.tolist()))
+        return table % tuple(q.tolist())
 
     outputs = {}
     for i, (disp, mixture) in enumerate(zip(series, mixtures)):
@@ -708,15 +732,16 @@ def _cmd_power_resample(opts_values: dict) -> tuple[int, dict]:
     if not compared:
         raise ParameterError(f"{data_path}: no period besides the baseline {baseline!r}")
     reference = table[baseline]
+    # one plan of the reference per subsample size serves every compared period
+    plans = {n: plan_scaled_statistic(reference, lebesgue(), n) for n in opts_values["n_grid"]}
     lines = ["period,n,power,se,trials"]
     trials = opts_values["trials"]
     for label in compared:
         for n in opts_values["n_grid"]:
-            power = resampling_power(
-                reference, table[label], n, opts_values["alpha"], trials,
-                opts_values["reps"],
-                seed=derive_seed(opts_values["seed"], "power-resample", label, n),
-                replace=opts_values["replace"])
+            power = _resampling_power(
+                reference, table[label], plans[n], opts_values["alpha"], trials,
+                opts_values["reps"], derive_seed(opts_values["seed"], "power-resample", label, n),
+                opts_values["replace"])
             se = math.sqrt(max(power * (1 - power), 0.0) / trials)
             lines.append(f"{label},{n},{power:.10g},{se:.10g},{trials}")
             print(f"period={label} n={n}  power={power:.3f}")

@@ -76,8 +76,6 @@ __all__ = [
     "AnalyticDistribution",
     "EmpiricalDistribution",
     "Distribution",
-    "sine_quantile",
-    "tail_quantile",
     "uniform01",
     "gaussian",
     "sine_distribution",
@@ -132,7 +130,8 @@ class AnalyticDistribution:
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]]
     support: tuple[float, float]
     compact_support_ok: bool
-    quantile_breakpoints: tuple[float, ...] = ()
+    # a tuple, or a read-only float array (a displacement's merged breakpoints)
+    quantile_breakpoints: Sequence[float] = ()
     quantile_is_identity: bool = False
     quantile_is_step: bool = False
 

@@ -22,11 +22,13 @@ Every critical value is a quantile of the scaled, squared statistic
 from :func:`_resampled_critical`, drawing with :func:`wshift.distributions._sorted_blocks`
 on the stream "resampling-reference" (``ResamplingCritical``) or "resampling-critval"
 (:func:`resampling_critical_value`; :func:`resampling_power` under the
-"null-critval" child seed). Power is counted by :func:`_reject_counts`, the
-rejection counter the experiments use too. Without an explicit source a
-data-sample null is resampled and an analytic null goes through the limit law
-(``_default_source``, which the CLI's ``auto`` source calls too). A
-Kolmogorov-Smirnov statistic is included as a comparator.
+"null-critval" child seed). Its caller builds the statistic's plan, so that one
+plan serves every shifted sample of one size (:func:`_resampling_power`). Power
+is counted by :func:`_reject_counts`, the rejection counter the experiments use
+too. Without an explicit source a data-sample null is resampled and an
+analytic null goes through the limit law (``_default_source``, which the CLI's
+``auto`` source calls too). A Kolmogorov-Smirnov statistic is included as a
+comparator.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .limitlaw import (
     sample_psi_null,
 )
 from .transport import (
+    StatisticPlan,
     WeightMeasure,
     lebesgue,
     plan_scaled_statistic,
@@ -169,7 +172,8 @@ class ResamplingCritical:
     def draw(self, config: TestConfig, n: int, seed: int) -> tuple[np.ndarray, float]:
         if self.reps < 100:
             raise ParameterError("insufficient reference draws: resampling needs reps >= 100")
-        return _resampled_critical(config.null_dist, config.omega, n, config.alpha, self.reps,
+        plan = plan_scaled_statistic(config.null_dist, config.omega, n)
+        return _resampled_critical(config.null_dist, plan, config.alpha, self.reps,
                                    derive_rng(seed, "resampling-reference"), self.replace)[1:]
 
 
@@ -247,14 +251,15 @@ def _reject_counts(blocks: Iterable[tuple[int, np.ndarray]],
     return counts
 
 
-def _resampled_critical(null: Distribution, omega: WeightMeasure, n: int, alpha: float,
-                        reps: int, rng: np.random.Generator,
+def _resampled_critical(null: Distribution, plan: StatisticPlan, alpha: float, reps: int,
+                        rng: np.random.Generator,
                         replace: bool) -> tuple[Statistic, np.ndarray, float]:
-    """(``n W2^2`` against ``null``, its values on ``reps`` redrawn samples, their quantile)."""
+    """(``n W2^2`` against ``null`` by its ``plan``, its values on ``reps`` samples of
+    size ``plan.n`` redrawn from ``null``, their quantile)."""
     _check_quantile_reps(alpha, reps)
-    statistic = _w2_statistic(plan_scaled_statistic(null, omega, n))
+    statistic = _w2_statistic(plan)
     reference = np.concatenate([statistic(block)
-                                for block in _sorted_blocks(null, n, reps, rng, replace)])
+                                for block in _sorted_blocks(null, plan.n, reps, rng, replace)])
     return statistic, reference, _order_stat_quantile(reference, alpha)
 
 
@@ -303,8 +308,9 @@ def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: f
     plain distance between the reference and an n-point sample of it, read
     as ``sqrt(q / n)`` off the same order statistic q of ``n W2^2``.
     """
-    critical = _resampled_critical(reference, lebesgue(), n, alpha, reps,
-                                   derive_rng(seed, "resampling-critval"), replace)[2]
+    critical = _resampled_critical(reference, plan_scaled_statistic(reference, lebesgue(), n),
+                                   alpha, reps, derive_rng(seed, "resampling-critval"),
+                                   replace)[2]
     return math.sqrt(max(critical, 0.0) / n)
 
 
@@ -317,12 +323,24 @@ def resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistrib
     statistic ``n W2^2`` against the reference exceeds its resampled
     (1 - alpha)-quantile.
     """
+    return _resampling_power(reference, shifted, plan_scaled_statistic(reference, lebesgue(), n),
+                             alpha, trials, reps, seed, replace)
+
+
+def _resampling_power(reference: EmpiricalDistribution, shifted: EmpiricalDistribution,
+                      plan: StatisticPlan, alpha: float, trials: int, reps: int, seed: int,
+                      replace: bool) -> float:
+    """:func:`resampling_power` at ``n = plan.n``, by the reference's plan for that size.
+
+    A caller that tests several shifted samples at one size builds that plan once.
+    """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     statistic, _, critical = _resampled_critical(
-        reference, lebesgue(), n, alpha, reps,
+        reference, plan, alpha, reps,
         derive_rng(derive_seed(seed, "null-critval"), "resampling-critval"), replace)
     [[rejected]] = _reject_counts(
-        _interleaved_blocks([(shifted, derive_rng(seed, "alt-trials"))], n, trials, replace),
+        _interleaved_blocks([(shifted, derive_rng(seed, "alt-trials"))], plan.n, trials,
+                            replace),
         [(statistic, critical)])
     return rejected / trials

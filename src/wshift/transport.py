@@ -217,14 +217,18 @@ def _segment_edges(omega: WeightMeasure, *dists: Distribution) -> np.ndarray:
     lo, hi = omega.window
     inside = []
     for d in dists:
-        b = np.asarray(d.quantile_breakpoints, dtype=float)
-        if not np.all(b[1:] > b[:-1]):  # a sample's grid already increases
-            b = np.unique(b)
+        b = _increasing_breakpoints(d)
         inside.append(b[np.searchsorted(b, lo, side="right"):np.searchsorted(b, hi)])
     edges = np.array([lo, hi])
     for b in sorted(inside, key=len):
         edges = _merge_increasing(edges, b)
     return edges
+
+
+def _increasing_breakpoints(dist: Distribution) -> np.ndarray:
+    """A law's quantile breakpoints, strictly increasing."""
+    b = np.asarray(dist.quantile_breakpoints, dtype=float)
+    return b if np.all(b[1:] > b[:-1]) else np.unique(b)  # a sample's grid already increases
 
 
 def _merge_increasing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,8 +430,9 @@ def displacement_interpolate(source: Distribution, target: Distribution,
         return q
 
     cdf = _cdf_from_quantile(quantile, _CDF_CLIP, 1.0 - _CDF_CLIP)
-    bks = np.unique(np.concatenate([source.quantile_breakpoints,
-                                    target.quantile_breakpoints]))
+    # a view, so that no law's own array is made read-only
+    bks = _merge_increasing(*map(_increasing_breakpoints, (source, target))).view()
+    bks.flags.writeable = False
     slo_a, shi_a = source.support
     slo_b, shi_b = target.support
     return AnalyticDistribution(
@@ -437,7 +442,7 @@ def displacement_interpolate(source: Distribution, target: Distribution,
         density_fn=None,
         support=((1 - e) * slo_a + e * slo_b, (1 - e) * shi_a + e * shi_b),
         compact_support_ok=False,
-        quantile_breakpoints=tuple(bks),
+        quantile_breakpoints=bks,
         quantile_is_step=source.quantile_is_step and target.quantile_is_step,
     )
 
@@ -514,8 +519,10 @@ def plan_scaled_statistic(null: Distribution, omega: WeightMeasure,
         # slots, so every segment sees a smooth or constant null quantile
         edges = np.unique(np.concatenate([grid, _segment_edges(omega, null)]))
         m0, s1, s2 = np.zeros(n), np.zeros(n), 0.0
+        # one panel per slot: the widest slot, not 1/n, which slots one ulp wider exceed
+        widest = float(np.max(np.diff(grid)))
         for points, w in _quadrature(edges, omega, null,
-                                     max_panel=min(_DEFAULT_MAX_PANEL, 1.0 / n)):
+                                     max_panel=min(_DEFAULT_MAX_PANEL, widest)):
             # each point belongs to the sample slot whose constancy interval
             # contains it; a block's points are increasing, so its slots are a range
             slot = np.minimum(np.searchsorted(grid[1:-1], points, side="left"), n - 1)

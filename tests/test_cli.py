@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from wshift import cli
+from wshift import cli, hypotest
+from wshift._seeds import derive_seed
 from wshift.cli import (
     CsvSchema,
     ingest_csv,
@@ -24,7 +28,13 @@ from wshift.cli import (
 from wshift.distributions import EmpiricalDistribution, sample, uniform01
 from wshift.errors import DataFormatError, ParameterError
 from wshift.experiments import ComparisonConfig, PhaseConfig, PowerMapConfig, _config_echo
-from wshift.hypotest import LimitLawCritical, ResamplingCritical, TabulatedCritical, TestOutcome
+from wshift.hypotest import (
+    LimitLawCritical,
+    ResamplingCritical,
+    TabulatedCritical,
+    TestOutcome,
+    resampling_power,
+)
 from wshift.transport import Histogram, _fd_edges
 
 
@@ -153,6 +163,39 @@ class TestIngestCsv:
             assert str(err.value) == f"{path}: {column}"
         else:
             assert cli._read_value_column(path).tolist() == column
+
+    @given(labels=st.lists(st.sampled_from(["a", " a", "a ", "b", "b\t", "c", " ", "é"]),
+                           min_size=1, max_size=40),
+           per_row_reader=st.booleans())
+    @example(labels=["a", "b"] * 5, per_row_reader=False)  # interleaved: runs of one row
+    @example(labels=["a", " a", "a ", "b", "b\t", "b"], per_row_reader=False)  # padding
+    @example(labels=["a"] * 7, per_row_reader=False)  # one period
+    @example(labels=["b", "a", "b", "b", "a"], per_row_reader=True)
+    @settings(max_examples=150, deadline=None)
+    def test_periods_are_coded_as_by_a_dict_per_row(self, tmp_path_factory, labels,
+                                                    per_row_reader):
+        # periods in order of first appearance, each with its rows; a whitespace-only
+        # row sends the file through the per-row reader
+        path = tmp_path_factory.mktemp("runs") / "in.csv"
+        rows = [f"{label},{i}\n" for i, label in enumerate(labels)]
+        if per_row_reader:
+            rows.insert(len(rows) // 2, "  \n")
+        path.write_text("period,value\n" + "".join(rows), encoding="utf-8")
+        want: dict[str, list[float]] = {}
+        for i, label in enumerate(labels):
+            want.setdefault(label.strip(), []).append(float(i))
+        read_rows, original = [], cli._read_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_read_rows", lambda *a: read_rows.append(a) or original(*a))
+            small = [p for p, values in want.items() if len(values) < 2]
+            if small:
+                with pytest.raises(DataFormatError, match=f"period {small[0]!r} has 1 "):
+                    ingest_csv(path)
+            else:
+                table = ingest_csv(path)
+                assert [(p, table[p].values.tolist()) for p in table.periods] == list(
+                    want.items())
+        assert bool(read_rows) == per_row_reader
 
     def test_repr_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -704,6 +747,44 @@ class TestPowerResampleCommand:
         powers = [float(r[2]) for r in rows]
         assert powers[1] >= powers[0]  # power grows with subsample size
         assert powers[1] > 0.9
+
+    def test_one_plan_per_size_gives_the_public_tables(self, tmp_path, monkeypatch):
+        # the reference's plan for each n serves every period; the table is that of one
+        # resampling_power call per (period, n), and rows interleaved one at a time,
+        # with the periods in the same order of first appearance, give it too
+        rng = np.random.default_rng(8)
+        periods = {"base": rng.normal(0.0, 1.0, 300), "near": rng.normal(0.2, 1.0, 300),
+                   "far": rng.normal(1.0, 1.0, 300)}
+        grouped, interleaved = tmp_path / "grouped.csv", tmp_path / "interleaved.csv"
+        grouped.write_text("period,value\n" + "".join(
+            f"{p},{v!r}\n" for p, values in periods.items() for v in values.tolist()))
+        interleaved.write_text("period,value\n" + "".join(
+            f"{p},{v!r}\n" for row in zip(*(values.tolist() for values in periods.values()))
+            for p, v in zip(periods, row)))
+        calls = []
+        monkeypatch.setattr(cli, "plan_scaled_statistic",
+                            lambda *a: calls.append(a) or hypotest.plan_scaled_statistic(*a))
+        args = ["--n-grid", "10,40", "--trials", "30", "--reps", "200", "--seed", "3"]
+        for replace in ("true", "false"):
+            tables = []
+            for path in (grouped, interleaved):
+                out = tmp_path / f"{path.stem}-{replace}"
+                code = main(["power-resample", "--data", str(path), "--replace", replace,
+                             *args, "--out", str(out)])
+                assert code == 0
+                tables.append((out / "power_resample.csv").read_text())
+            lines = ["period,n,power,se,trials"]
+            for label in ("near", "far"):
+                for n in (10, 40):
+                    power = resampling_power(
+                        EmpiricalDistribution(periods["base"]),
+                        EmpiricalDistribution(periods[label]), n, 0.05, 30, 200,
+                        seed=derive_seed(3, "power-resample", label, n),
+                        replace=replace == "true")
+                    se = math.sqrt(power * (1 - power) / 30)
+                    lines.append(f"{label},{n},{power:.10g},{se:.10g},30")
+            assert tables == ["\n".join(lines) + "\n"] * 2
+        assert [a[2] for a in calls] == [10, 40] * 4
 
     @pytest.mark.parametrize("before", [0, 3000], ids=["in-header-chunk", "past-first-read"])
     def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys, before):

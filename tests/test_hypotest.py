@@ -412,7 +412,7 @@ class TestResamplingExactMean:
         # and |z| <= 3.2 (without replacement at 10^6 draws: z = 1.0 at n = 7 and -1.3 at
         # n = 25; n = 150: z = 0.3 at 4 * 10^5); the bound is 4 SE at seed 41
         plan = plan_scaled_statistic(self.REF, omega, n)
-        stats = hypotest._resampled_critical(self.REF, omega, n, 0.05, self.REPS,
+        stats = hypotest._resampled_critical(self.REF, plan, 0.05, self.REPS,
                                              derive_rng(41, "exact-mean"), replace)[1]
         se = stats.std(ddof=1) / math.sqrt(self.REPS)
         assert abs(stats.mean() - _exact_resampled_mean(self.REF, plan, replace)) <= 4.0 * se

@@ -253,6 +253,24 @@ class TestDisplacementInterpolation:
         assert got.tobytes() == want.tobytes()
         assert u.tobytes() == kept.tobytes()
 
+    def test_breakpoints_are_the_unique_of_both_laws(self):
+        # merged, not sorted again: the bits of one np.unique, in a read-only array
+        rng = np.random.default_rng(16)
+        a, b = EmpiricalDistribution(rng.random(1000)), EmpiricalDistribution(rng.random(300))
+        mid = displacement_interpolate(a, b, 0.4)
+        own = np.array([0.25, 0.5])  # a law's own writable array stays writable
+        law = dataclasses.replace(uniform01(), quantile_breakpoints=own)
+        for source, target in ((a, b), (b, a), (a, tail_distribution(0.5)),
+                               (tail_distribution(0.5), sine_distribution(0.5)),
+                               (mid, a), (law, mid), (uniform01(), law),
+                               (uniform01(), sine_distribution(0.8))):
+            got = displacement_interpolate(source, target, 0.3).quantile_breakpoints
+            want = np.unique(np.concatenate([source.quantile_breakpoints,
+                                             target.quantile_breakpoints]))
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert own.flags.writeable
+
     def test_between_samples_is_a_step_law(self):
         # its quantile is constant between the union of the two jump grids, so a
         # distance to it takes one midpoint per segment, as between two samples
@@ -415,6 +433,21 @@ class TestStatisticPlan:
             got = float(scaled_statistics(values[None, :], plan)[0]) / 200
             want = riemann_sq_gap(emp, null, omega)
             assert abs(got - want) <= 2e-4 * max(1.0, want)
+
+    @pytest.mark.parametrize("n", [600, 10_000])
+    def test_one_panel_per_slot(self, n, monkeypatch):
+        # (j + 1)/n - j/n rounds one ulp above 1/n in 318 of 600 slots; each takes
+        # one panel
+        layouts = []
+
+        def recording_layout(edges, max_panel, first, last):
+            layouts.append(np.maximum(1, np.ceil(np.diff(edges) / max_panel)))
+            return _panel_layout(edges, max_panel, first, last)
+
+        monkeypatch.setattr(wshift.transport, "_panel_layout", recording_layout)
+        plan_scaled_statistic(gaussian(0.0, 1.0, -4.0, 4.0), lebesgue(), n)
+        counts = np.concatenate(layouts)
+        assert counts.size == n and np.all(counts == 1)
 
     def test_batch_rows_independent(self):
         # batch BLAS vs per-row evaluation may reorder sums; values must agree
