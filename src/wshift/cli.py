@@ -274,8 +274,7 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
     Periods keep the order in which they first appear. Malformed rows are
     reported with their line numbers (all of them, up to ten, in one error)
     instead of failing on the first. A run of rows with equal labels is
-    coded by one lookup; when every period is one run, the rows are
-    grouped already and are not sorted.
+    coded by one lookup.
     """
     schema = schema if schema is not None else CsvSchema()
     path = Path(path)
@@ -286,12 +285,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
     starts = _run_starts(labels)
     periods: dict[str, int] = {}
     run_codes = [periods.setdefault(label, len(periods)) for label in labels[starts].tolist()]
-    if len(run_codes) == len(periods):
-        groups = np.split(values, starts[1:])
-    else:
-        codes = np.repeat(np.array(run_codes, dtype=np.intp), np.diff(starts, append=labels.size))
-        groups = np.split(values[np.argsort(codes, kind="stable")],
-                          np.cumsum(np.bincount(codes))[:-1])
+    codes = np.repeat(np.array(run_codes, dtype=np.intp), np.diff(starts, append=labels.size))
+    groups = np.split(values[np.argsort(codes, kind="stable")],
+                      np.cumsum(np.bincount(codes))[:-1])
     for label, group in zip(periods, groups):
         if group.size < 2:
             raise DataFormatError(

@@ -130,8 +130,9 @@ class AnalyticDistribution:
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]]
     support: tuple[float, float]
     compact_support_ok: bool
-    # a tuple, or a read-only float array (a displacement's merged breakpoints)
-    quantile_breakpoints: Sequence[float] = ()
+    # a tuple, or a read-only float array (a displacement's merged breakpoints);
+    # left out of == and hash, which an array would break
+    quantile_breakpoints: Sequence[float] = field(default=(), compare=False)
     quantile_is_identity: bool = False
     quantile_is_step: bool = False
 
