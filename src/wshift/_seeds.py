@@ -6,7 +6,9 @@ and derives its own stream by hashing a tuple of string/number labels into a
 statistically independent, and the mapping is stable across processes and
 platforms (no use of Python's builtin ``hash``). A root seed outside that
 range is rejected rather than reduced, so no two recorded seeds share a
-stream; integer labels are reduced modulo 2^64.
+stream. Integer labels are reduced modulo 2^64; every other label is keyed
+by its ``str``, so ``0.1``, ``np.float64(0.1)`` and ``"0.1"`` share a key
+under any numpy version (numpy 2 changed ``repr`` of its scalars, not ``str``).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .errors import ParameterError
 def _label_key(label) -> int:
     if isinstance(label, (int, np.integer)):
         return int(label) & 0xFFFFFFFFFFFFFFFF
-    if isinstance(label, float):
-        label = repr(label)
     digest = hashlib.blake2b(str(label).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

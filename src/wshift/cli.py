@@ -107,7 +107,7 @@ from .transport import (
     tv_distance,
 )
 
-__all__ = ["main", "ingest_csv", "CsvSchema", "ObservationTable"]
+__all__ = ["main", "ingest_csv", "CsvSchema"]
 
 
 # ---------------------------------------------------------------------------
@@ -116,45 +116,25 @@ __all__ = ["main", "ingest_csv", "CsvSchema", "ObservationTable"]
 
 @dataclass(frozen=True)
 class CsvSchema:
+    """The period and value columns of a headed, comma-separated table."""
+
     period_column: str = "period"
     value_column: str = "value"
-    delimiter: str = ","
-    header: bool = True
-
-
-@dataclass(frozen=True)
-class ObservationTable:
-    """Grouped observations: one empirical distribution per period label."""
-
-    periods: tuple[str, ...]
-    distributions: dict
-
-    def __getitem__(self, label: str) -> EmpiricalDistribution:
-        return self.distributions[label]
-
-
-def _column_index(fieldnames: list[str], column, path) -> int:
-    if isinstance(column, int):
-        if column >= len(fieldnames):
-            raise DataFormatError(f"{path}: column index {column} out of range")
-        return column
-    try:
-        return fieldnames.index(column)
-    except ValueError:
-        raise DataFormatError(f"{path}: missing column {column!r} "
-                              f"(have {fieldnames})") from None
 
 
 def _is_blank(row: list[str]) -> bool:
     return all(not c.strip() for c in row)
 
 
-def _column_indices(row: list[str], value_column, label_column, header: bool,
+def _column_indices(header: list[str], value_column: str, label_column: Optional[str],
                     path) -> tuple[Optional[int], int]:
-    """``(label index or None, value index)`` named by the first non-blank row."""
-    names = [c.strip() for c in row] if header else row
-    l_idx = None if label_column is None else _column_index(names, label_column, path)
-    return l_idx, _column_index(names, value_column, path)
+    """``(label index or None, value index)`` named by the header row."""
+    names = [c.strip() for c in header]
+    for column in (label_column, value_column):
+        if column is not None and column not in names:
+            raise DataFormatError(f"{path}: missing column {column!r} (have {names})")
+    l_idx = None if label_column is None else names.index(label_column)
+    return l_idx, names.index(value_column)
 
 
 def _not_utf8(path: Path) -> DataFormatError:
@@ -166,8 +146,8 @@ def _not_utf8(path: Path) -> DataFormatError:
     return DataFormatError(f"{path}: not UTF-8 text")
 
 
-def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ",",
-               header: bool = True) -> Iterator[tuple[Optional[str], float]]:
+def _read_rows(path: Path, value_column: str,
+               label_column: Optional[str] = None) -> Iterator[tuple[Optional[str], float]]:
     """Yield ``(label, value)`` for every data row; the label is None without a label column.
 
     Values must parse as finite floats. Blank rows are skipped. Malformed
@@ -180,15 +160,13 @@ def _read_rows(path: Path, value_column, label_column=None, delimiter: str = ","
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             v_idx = l_idx = None
-            for line, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+            for line, row in enumerate(csv.reader(fh), start=1):
                 if _is_blank(row):
                     continue
                 if v_idx is None:
-                    l_idx, v_idx = _column_indices(row, value_column, label_column, header,
-                                                   path)
+                    l_idx, v_idx = _column_indices(row, value_column, label_column, path)
                     width = max(v_idx, l_idx or 0) + 1
-                    if header:
-                        continue
+                    continue
                 if len(row) < width:
                     bad_lines.append(f"line {line}: too few columns")
                     continue
@@ -218,8 +196,8 @@ def _run_starts(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def _load_columns(path: Path, value_column, label_column=None, delimiter: str = ",",
-                  header: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
+def _load_columns(path: Path, value_column: str, label_column: Optional[str] = None
+                  ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """``(labels, values)`` of the data rows that :func:`_read_rows` accepts.
 
     The header is found as :func:`_read_rows` finds it; numpy's C parser then
@@ -233,21 +211,21 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            first = next((row for row in reader if not _is_blank(row)), None)
+            reader = csv.reader(fh)
+            header = next((row for row in reader if not _is_blank(row)), None)
             lines_through_header = reader.line_num
-            has_rows = not header or any(not _is_blank(row) for row in reader)
+            has_rows = any(not _is_blank(row) for row in reader)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    # numpy needs the quote for itself, and warns on a file without rows
-    if first is not None and has_rows and delimiter != '"':
-        l_idx, v_idx = _column_indices(first, value_column, label_column, header, path)
+    # numpy warns on a file without rows
+    if header is not None and has_rows:
+        l_idx, v_idx = _column_indices(header, value_column, label_column, path)
         try:
             table = np.loadtxt(
                 path, dtype=float if l_idx is None else [("label", object), ("value", float)],
-                delimiter=delimiter, comments=None, quotechar='"', ndmin=1,
+                delimiter=",", comments=None, quotechar='"', ndmin=1,
                 usecols=(v_idx,) if l_idx is None else (l_idx, v_idx),
-                skiprows=lines_through_header if header else 0, encoding="utf-8-sig")
+                skiprows=lines_through_header, encoding="utf-8-sig")
         except ValueError:
             pass
         else:
@@ -262,24 +240,23 @@ def _load_columns(path: Path, value_column, label_column=None, delimiter: str = 
                 if np.isfinite(values).all() and "\n" not in "".join(heads):
                     stripped = np.array([head.strip() for head in heads], dtype=object)
                     return np.repeat(stripped, np.diff(starts, append=labels.size)), values
-    rows = list(_read_rows(path, value_column, label_column, delimiter, header))
+    rows = list(_read_rows(path, value_column, label_column))
     labels = None if label_column is None else np.array([label for label, _ in rows],
                                                         dtype=object)
     return labels, np.array([value for _, value in rows], dtype=float)
 
 
-def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
-    """Parse a (period, value) table; every period needs >= 2 finite values.
+def ingest_csv(path, schema: CsvSchema | None = None) -> dict[str, EmpiricalDistribution]:
+    """Parse a (period, value) table into one distribution per period label.
 
-    Periods keep the order in which they first appear. Malformed rows are
-    reported with their line numbers (all of them, up to ten, in one error)
-    instead of failing on the first. A run of rows with equal labels is
-    coded by one lookup.
+    Every period needs >= 2 finite values; periods keep the order in which
+    they first appear. Malformed rows are reported with their line numbers
+    (all of them, up to ten, in one error) instead of failing on the first.
+    A run of rows with equal labels is coded by one lookup.
     """
     schema = schema if schema is not None else CsvSchema()
     path = Path(path)
-    labels, values = _load_columns(path, schema.value_column, schema.period_column,
-                                   schema.delimiter, schema.header)
+    labels, values = _load_columns(path, schema.value_column, schema.period_column)
     if values.size == 0:
         raise DataFormatError(f"{path}: no data rows")
     starts = _run_starts(labels)
@@ -292,8 +269,7 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationTable:
         if group.size < 2:
             raise DataFormatError(
                 f"{path}: period {label!r} has {group.size} observation(s); need >= 2")
-    dists = {label: EmpiricalDistribution(group) for label, group in zip(periods, groups)}
-    return ObservationTable(tuple(periods), dists)
+    return {label: EmpiricalDistribution(group) for label, group in zip(periods, groups)}
 
 
 def _read_value_column(path, column: str = "value") -> np.ndarray:
@@ -518,10 +494,8 @@ def _root_seed(text) -> int:
     return seed
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    low = str(text).lower()
+def _bool(text: str) -> bool:
+    low = text.lower()
     if low in _BOOL_TRUE:
         return True
     if low in _BOOL_FALSE:
@@ -720,11 +694,10 @@ def _cmd_power_resample(opts_values: dict) -> tuple[int, dict]:
     schema = CsvSchema(period_column=opts_values["period_column"],
                        value_column=opts_values["value_column"])
     table = ingest_csv(data_path, schema)
-    baseline = opts_values["baseline"] or table.periods[0]
-    if baseline not in table.distributions:
-        raise ParameterError(f"baseline period {baseline!r} not present "
-                             f"(have {list(table.periods)})")
-    compared = [label for label in table.periods if label != baseline]
+    baseline = opts_values["baseline"] or next(iter(table))
+    if baseline not in table:
+        raise ParameterError(f"baseline period {baseline!r} not present (have {list(table)})")
+    compared = [label for label in table if label != baseline]
     if not compared:
         raise ParameterError(f"{data_path}: no period besides the baseline {baseline!r}")
     reference = table[baseline]

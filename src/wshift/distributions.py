@@ -28,8 +28,8 @@ Conventions
 * Quantiles are generalized inverses, ``F^{-1}(u) = inf{x : F(x) >= u}``;
   the empirical version at ``u`` is the ``ceil(n*u)``-th order statistic.
 * All distribution objects are immutable and safe to share across threads.
-  Sampling takes an explicit seed (or Generator), so parallel callers own
-  independent streams.
+  Sampling takes an explicit seed, so parallel callers own independent
+  streams.
 * Monte Carlo work runs in tiles of ``_BLOCK_SCALARS`` = 2^15 values (256 KiB
   per array), here and inside the limit law's bridge chunks. Every draw
   continues its stream across tiles and every quantile is elementwise, so
@@ -513,17 +513,14 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.minimum(u, _U_MAX, out=u)
 
 
-def sample(dist: Distribution, n: int, seed) -> EmpiricalDistribution:
+def sample(dist: Distribution, n: int, seed: int) -> EmpiricalDistribution:
     """Draw ``n`` observations as one row of :func:`_sorted_blocks`; deterministic given seed.
 
-    For empirical inputs this is resampling with replacement. ``seed`` may
-    be an integer or an existing ``numpy.random.Generator`` (the caller then
-    owns the stream).
+    For empirical inputs this is resampling with replacement.
     """
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "sample")
-    [row] = next(_sorted_blocks(dist, int(n), 1, rng))
+    [row] = next(_sorted_blocks(dist, int(n), 1, derive_rng(seed, "sample")))
     return EmpiricalDistribution(row)
 
 

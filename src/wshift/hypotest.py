@@ -299,6 +299,7 @@ def run_test(samples: EmpiricalDistribution, config: TestConfig,
 # Resampling-based critical values and power
 # ---------------------------------------------------------------------------
 
+# no subcommand calls it, but the benchmark's tracer wraps it by name
 def resampling_critical_value(reference: EmpiricalDistribution, n: int, alpha: float,
                               reps: int, seed: int = 0, replace: bool = True) -> float:
     """(1 - alpha)-quantile of ``W2(reference, subsample of size n)``.

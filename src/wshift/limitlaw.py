@@ -133,18 +133,20 @@ class LimitLawSampler:
 
 
 def _node_coefficients(null: Distribution, signal: Distribution | None, omega: WeightMeasure,
-                       u: np.ndarray, h: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Quadratic and (with a signal) cross coefficients at nodes u of weight h (checked laws)."""
+                       grid: BridgeGrid) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Quadratic and (with a signal) cross coefficients on the grid's nodes (checked laws)."""
     _check_laws(null, signal, omega)
+    u, h = grid.nodes, 1.0 / grid.k
     w = omega.density(u)
-    pf = null.density_fn(null.quantile_fn(u))
+    q = null.quantile_fn(u)
+    pf = null.density_fn(q)
     active = w > 0.0
     if np.any(pf[active] < _DENSITY_FLOOR):
         raise SingularDensityError(
             "null density at quantile falls below 1e-8 inside the integration window; "
             "trim the weight measure or truncate the null instead of relying on clipping"
         )
-    gap = None if signal is None else signal.quantile_fn(u) - null.quantile_fn(u)
+    gap = None if signal is None else signal.quantile_fn(u) - q
     with np.errstate(divide="ignore", invalid="ignore"):
         c_quad = np.where(active, w / (pf * pf), 0.0) * h
         c_cross = None if gap is None else np.where(active, gap * w / pf, 0.0) * h
@@ -162,12 +164,13 @@ def _component_batches(sampler: LimitLawSampler, reps: int, omegas: Sequence[Wei
         raise ParameterError("reps must be >= 1")
     if any(s is None for s in signals):
         raise ParameterError("sampler has no signal; build it with a signal distribution")
-    k, reps, u = sampler.grid.k, int(reps), sampler.grid.nodes
+    grid = sampler.grid
+    k, reps, u = grid.k, int(reps), grid.nodes
     # the walk's coefficients (module docstring)
     quad_rows = [(d, 2.0 * u * d, _dot(d, u * u)) for d in
-                 (_node_coefficients(sampler.null, None, w, u, 1.0 / k)[0] / k for w in omegas)]
+                 (_node_coefficients(sampler.null, None, w, grid)[0] / k for w in omegas)]
     cross_rows = [(c, _dot(c, u)) for c in
-                  (_node_coefficients(sampler.null, s, sampler.omega, u, 1.0 / k)[1] / math.sqrt(k)
+                  (_node_coefficients(sampler.null, s, sampler.omega, grid)[1] / math.sqrt(k)
                    for s in signals)]
     rows = max(1, _CHUNK_NORMALS // k)
     chunks = -(-reps // rows)
@@ -338,23 +341,21 @@ def theoretical_type2(sampler: LimitLawSampler, gamma: float | Sequence[float],
 
 
 def case_ii_variance(null: Distribution, signal: Distribution,
-                     omega: WeightMeasure | None = None,
-                     resolution: int = 2048) -> float:
+                     omega: WeightMeasure | None = None) -> float:
     """Variance of the Gaussian limit in the fully detectable regime.
 
-    Deterministic double quadrature (midpoint rule on a resolution^2 grid) of
+    Four times the variance of the cross term that :func:`sample_psi_components`
+    draws on the default :class:`BridgeGrid`: the quadratic form of the node
+    coefficients t (:func:`_node_coefficients`) under the bridge covariance
+    ``u ^ v - u v``, i.e. the trapezoid rule for
     ``4 (u ^ v - u v) / (f(F^{-1}(u)) f(F^{-1}(v))) gap(u) gap(v)`` against
     omega x omega, where gap is the signal-minus-null quantile difference.
-    Equals four times the variance of the cross term of the boundary law.
-    The kernel is semiseparable, so with ascending nodes the quadratic form
-    is ``sum_i t_i u_i (t_i + 2 sum_{j>i} t_j) - (sum_i t_i u_i)^2``, in
-    O(resolution) time and memory.
+    The kernel is semiseparable, so with ascending nodes the form is
+    ``sum_i t_i u_i (t_i + 2 sum_{j>i} t_j) - (sum_i t_i u_i)^2``, in O(K).
     """
-    omega = omega if omega is not None else lebesgue()
-    lo, hi = omega.window
-    cell = (hi - lo) / resolution
-    u = lo + (np.arange(resolution) + 0.5) * cell
-    t = _node_coefficients(null, signal, omega, u, cell)[1]
+    grid = BridgeGrid()
+    u = grid.nodes
+    t = _node_coefficients(null, signal, omega if omega is not None else lebesgue(), grid)[1]
     after = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)  # sum of t_j over j > i
     tu = t * u
     return float(4.0 * (_dot(tu, t + 2.0 * after) - tu.sum() ** 2))

@@ -48,49 +48,47 @@ def write_sample_csv(path, values, column="value"):
 
 _TWELVE_BAD = "; ".join(f"line {i}: non-numeric value 'x'" for i in range(2, 12)) + " (+2 more)"
 
-# (file text, CsvSchema fields, ingest_csv result, _read_value_column result): a result
+# (file text, ingest_csv result, _read_value_column result): a result
 # is {period: sorted values} in period order, the values in file order, or the error
 READER_CASES = [
-    pytest.param("period,value\n\na,1\n  \n,,\na,2\n \t ,\n", {}, {"a": [1.0, 2.0]},
+    pytest.param("period,value\n\na,1\n  \n,,\na,2\n \t ,\n", {"a": [1.0, 2.0]},
                  [1.0, 2.0], id="blank_rows"),
-    pytest.param('period,value\n"x,y",1\n"x,y",2\n', {}, {"x,y": [1.0, 2.0]}, [1.0, 2.0],
+    pytest.param('period,value\n"x,y",1\n"x,y",2\n', {"x,y": [1.0, 2.0]}, [1.0, 2.0],
                  id="quoted_delimiter"),
-    pytest.param("period,value\na,#2\na,2 # c\n", {},
+    pytest.param("period,value\na,#2\na,2 # c\n",
                  "line 2: non-numeric value '#2'; line 3: non-numeric value '2 # c'",
                  "line 2: non-numeric value '#2'; line 3: non-numeric value '2 # c'",
                  id="hash_is_data"),
-    pytest.param("period,value\na,1\na,nan\na,inf\n", {},
+    pytest.param("period,value\na,1\na,nan\na,inf\n",
                  "line 3: non-finite value 'nan'; line 4: non-finite value 'inf'",
                  "line 3: non-finite value 'nan'; line 4: non-finite value 'inf'",
                  id="non_finite"),
-    pytest.param("period,value\n" + "a,x\n" * 12, {}, _TWELVE_BAD, _TWELVE_BAD,
+    pytest.param("period,value\n" + "a,x\n" * 12, _TWELVE_BAD, _TWELVE_BAD,
                  id="twelve_bad_lines"),
-    pytest.param("\r\n\r\nperiod,value\r\na,1\r\na,2\r\n", {}, {"a": [1.0, 2.0]},
+    pytest.param("\r\n\r\nperiod,value\r\na,1\r\na,2\r\n", {"a": [1.0, 2.0]},
                  [1.0, 2.0], id="crlf_blank_lines_before_header"),
-    pytest.param("period,value\na,1_000\na, 1.5 \n", {}, {"a": [1.5, 1000.0]},
+    pytest.param("period,value\na,1_000\na, 1.5 \n", {"a": [1.5, 1000.0]},
                  [1000.0, 1.5], id="underscore_and_padded_value"),
-    pytest.param("period,value\na,1\na\na,2\n", {}, "line 3: too few columns",
+    pytest.param("period,value\na,1\na\na,2\n", "line 3: too few columns",
                  "line 3: too few columns", id="too_few_columns"),
-    pytest.param("period,value\na,1,x\na,2,y,z\n", {}, {"a": [1.0, 2.0]}, [1.0, 2.0],
+    pytest.param("period,value\na,1,x\na,2,y,z\n", {"a": [1.0, 2.0]}, [1.0, 2.0],
                  id="extra_columns"),
-    pytest.param("period,value\nb,4\na,1\nb,3\nb,5\na,2\n", {},
+    pytest.param("period,value\nb,4\na,1\nb,3\nb,5\na,2\n",
                  {"b": [3.0, 4.0, 5.0], "a": [1.0, 2.0]}, [4.0, 1.0, 3.0, 5.0, 2.0],
                  id="interleaved_periods"),
-    pytest.param('period,value\n a ,1\na,2\n"a ",3\n', {}, {"a": [1.0, 2.0, 3.0]},
+    pytest.param('period,value\n a ,1\na,2\n"a ",3\n', {"a": [1.0, 2.0, 3.0]},
                  [1.0, 2.0, 3.0], id="padded_labels"),
-    pytest.param('"period",value\r\n"a\r\nb",1\r\n"a\r\nb",2\r\n', {},
+    pytest.param('"period",value\r\n"a\r\nb",1\r\n"a\r\nb",2\r\n',
                  {"a\r\nb": [1.0, 2.0]}, [1.0, 2.0], id="crlf_inside_quoted_label"),
-    pytest.param("a;1\na;2\n", dict(period_column=0, value_column=1, delimiter=";",
-                                    header=False),
-                 {"a": [1.0, 2.0]}, "missing column 'value' (have ['a;1'])",
-                 id="semicolon_without_header"),
-    pytest.param("value\n3.5\n", {}, "missing column 'period' (have ['value'])", [3.5],
+    pytest.param("a;1\na;2\n", "missing column 'period' (have ['a;1'])",
+                 "missing column 'value' (have ['a;1'])", id="semicolon_without_header"),
+    pytest.param("value\n3.5\n", "missing column 'period' (have ['value'])", [3.5],
                  id="one_row_value_column"),
-    pytest.param("period,value\n", {}, "no data rows", "no numeric rows in column 'value'",
+    pytest.param("period,value\n", "no data rows", "no numeric rows in column 'value'",
                  id="header_only"),
-    pytest.param("\ufeffperiod,value\na,1\na,2\n", {}, {"a": [1.0, 2.0]}, [1.0, 2.0],
+    pytest.param("\ufeffperiod,value\na,1\na,2\n", {"a": [1.0, 2.0]}, [1.0, 2.0],
                  id="byte_order_mark"),
-    pytest.param("\ufeffperiod,value\na,1_000\n  \na,2\n", {}, {"a": [2.0, 1000.0]},
+    pytest.param("\ufeffperiod,value\na,1_000\n  \na,2\n", {"a": [2.0, 1000.0]},
                  [1000.0, 2.0], id="byte_order_mark_per_row_reader"),
 ]
 
@@ -100,7 +98,7 @@ class TestIngestCsv:
         path = tmp_path / "obs.csv"
         path.write_text("period,value\na,1\na,2\na,3\nb,4\nb,5\nb,6\n")
         table = ingest_csv(path)
-        assert table.periods == ("a", "b")
+        assert list(table) == ["a", "b"]
         assert table["a"].n == 3
         assert list(table["b"].values) == [4.0, 5.0, 6.0]
 
@@ -124,10 +122,10 @@ class TestIngestCsv:
 
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "obs.csv"
-        path.write_text("month;spend\nm1;1.5\nm1;2.5\n")
-        table = ingest_csv(path, CsvSchema(period_column="month",
-                                           value_column="spend", delimiter=";"))
-        assert table.periods == ("m1",)
+        path.write_text("spend,month\n1.5,m1\n2.5,m1\n")
+        table = ingest_csv(path, CsvSchema(period_column="month", value_column="spend"))
+        assert list(table) == ["m1"]
+        assert table["m1"].values.tolist() == [1.5, 2.5]
 
     def test_round_trip(self, tmp_path):
         original = sample(uniform01(), 100, seed=5)
@@ -139,23 +137,20 @@ class TestIngestCsv:
         back = ingest_csv(path)["p"]
         assert np.array_equal(back.values, original.values)
 
-    @pytest.mark.parametrize("text, schema, table, column", READER_CASES)
-    def test_reader_cases(self, tmp_path, text, schema, table, column):
+    @pytest.mark.parametrize("text, table, column", READER_CASES)
+    def test_reader_cases(self, tmp_path, text, table, column):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
-        schema = CsvSchema(**schema)
         if isinstance(table, str):
             with pytest.raises(DataFormatError) as err:
-                ingest_csv(path, schema)
+                ingest_csv(path)
             assert str(err.value) == f"{path}: {table}"
         else:
-            got = ingest_csv(path, schema)
-            assert [(p, got[p].values.tolist()) for p in got.periods] == list(table.items())
+            got = ingest_csv(path)
+            assert [(p, d.values.tolist()) for p, d in got.items()] == list(table.items())
             # the fast reader agrees with the per-row reader that defines a valid file
-            labels, values = cli._load_columns(path, schema.value_column, schema.period_column,
-                                               schema.delimiter, schema.header)
-            rows = list(cli._read_rows(path, schema.value_column, schema.period_column,
-                                       schema.delimiter, schema.header))
+            labels, values = cli._load_columns(path, "value", "period")
+            rows = list(cli._read_rows(path, "value", "period"))
             assert list(zip(labels, values)) == rows
         if isinstance(column, str):
             with pytest.raises(DataFormatError) as err:
@@ -193,7 +188,7 @@ class TestIngestCsv:
                     ingest_csv(path)
             else:
                 table = ingest_csv(path)
-                assert [(p, table[p].values.tolist()) for p in table.periods] == list(
+                assert [(p, d.values.tolist()) for p, d in table.items()] == list(
                     want.items())
         assert bool(read_rows) == per_row_reader
 
@@ -207,8 +202,8 @@ class TestIngestCsv:
                                                    for i, v in enumerate(original.tolist())))
         assert cli._read_value_column(path).tobytes() == original.tobytes()
         table = ingest_csv(path)
-        assert table.periods == ("p0", "p1", "p2")
-        for k, label in enumerate(table.periods):
+        assert list(table) == ["p0", "p1", "p2"]
+        for k, label in enumerate(table):
             assert table[label].values.tobytes() == np.sort(original[k::3]).tobytes()
 
 

@@ -4,11 +4,14 @@ every export exists, and no invariant rests on an ``assert`` statement, which
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wshift"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "wshift"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -65,6 +68,20 @@ def test_the_package_imports_only_exports():
             not_exported += [f"{node.module}.{alias.name}" for alias in node.names
                              if alias.name not in exported]
     assert not_exported == []
+
+
+def test_every_function_the_benchmark_wraps_exists(monkeypatch):
+    # perfbench/tracer.py wraps each of these through getattr, so deleting or renaming
+    # one breaks every traced benchmark run; its top-level imports are all standard library
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    wrapped = [span[:2] for span in tracer.SPANS] + list(tracer.FACTORIES)
+    assert wrapped
+    assert [f"{module}.{name}" for module, name in wrapped
+            if not hasattr(importlib.import_module(module), name)] == []
 
 
 def assert_lines(source: str) -> list[int]:

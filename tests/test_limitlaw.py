@@ -132,7 +132,7 @@ class TestWalkContraction:
         s = LimitLawSampler.from_distributions(null, signal, omega, BridgeGrid(k), seed=seed)
         quad, cross = sample_psi_components(s, reps)
         b = bridges(k, reps, derive_rng(seed, "bridge-paths", 0))
-        c_quad, c_cross = _node_coefficients(null, signal, omega, s.grid.nodes, 1.0 / k)
+        c_quad, c_cross = _node_coefficients(null, signal, omega, s.grid)
         want_cross, want_quad = _row_dots(b, c_cross), _row_dots(b * b, c_quad)
         assert np.max(np.abs(quad - want_quad) / want_quad) <= WALK_CONTRACTION_RTOL
         # cross terms cross zero, so their gap is measured against the largest
@@ -576,20 +576,22 @@ class TestCaseIIVariance:
         (uniform01(), sine_distribution(0.5), quadratic_weight(2.0)),
         (gaussian(0.0, 1.0, -4.0, 4.0), gaussian(0.5, 1.0, -3.5, 4.5), lebesgue(trim=0.01)),
     ], ids=["sine", "quadratic", "gaussian-trimmed"])
-    def test_matches_dense_kernel(self, null, signal, omega):
-        # the O(resolution) form against the dense resolution^2 kernel
-        res = 256
-        lo, hi = omega.window
-        cell = (hi - lo) / res
-        u = lo + (np.arange(res) + 0.5) * cell
-        t = _node_coefficients(null, signal, omega, u, cell)[1]
-        dense = 4.0 * t @ (np.minimum.outer(u, u) - np.outer(u, u)) @ t
-        got = case_ii_variance(null, signal, omega, resolution=res)
-        assert abs(got - dense) <= 1e-12 * dense
+    def test_is_the_drawn_cross_term_variance(self, null, signal, omega):
+        # four times t' S t, S the bridge covariance u ^ v - u v on the default grid's
+        # nodes: the variance of the cross term drawn there, built densely by row blocks
+        grid = BridgeGrid()
+        u = grid.nodes
+        t = _node_coefficients(null, signal, omega, grid)[1]
+        form = 0.0
+        for lo in range(0, u.size, 512):
+            rows = u[lo:lo + 512, None]
+            form += t[lo:lo + 512] @ ((np.minimum(rows, u) - rows * u) @ t)
+        got = case_ii_variance(null, signal, omega)
+        assert abs(got - 4.0 * form) <= 1e-12 * 4.0 * form
 
     def test_truncated_gaussian_null_runs(self):
         v = case_ii_variance(gaussian(0.0, 1.0, -4.0, 4.0), gaussian(0.5, 1.0, -3.5, 4.5),
-                             lebesgue(trim=0.01), resolution=512)
+                             lebesgue(trim=0.01))
         assert v > 0.0 and np.isfinite(v)
 
 
