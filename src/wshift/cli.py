@@ -28,7 +28,9 @@ Conventions
   the one hand-written experiment option (the signal specifier; by default
   the config's own signal). ``critval`` and ``power-resample`` take their
   option defaults from their critical source's class. ``test`` picks its
-  source class by ``name`` and sets each field given by the option of that
+  source class by ``name`` (``auto``, the default: resampling for a null
+  without a density, the limit law for one with a density, as
+  ``TestConfig`` does) and sets each field given by the option of that
   name (``value``: ``--tabulated-value``); an option that is no field of the
   chosen class is an error, so no manifest records a setting that had no
   effect, and every field of the chosen class is recorded, defaults included.
@@ -81,6 +83,7 @@ from .experiments import (
     ComparisonConfig,
     PhaseConfig,
     PowerMapConfig,
+    _check_distinct,
     run_ks_comparison,
     run_phase_transition,
     run_power_map,
@@ -691,6 +694,7 @@ def _cmd_power_resample(opts_values: dict) -> tuple[int, dict]:
     data_path = opts_values["data"]
     if data_path is None:
         raise ParameterError("power-resample requires --data <csv>")
+    _check_distinct("--n-grid", opts_values["n_grid"])
     schema = CsvSchema(period_column=opts_values["period_column"],
                        value_column=opts_values["value_column"])
     table = ingest_csv(data_path, schema)

@@ -120,8 +120,9 @@ class AnalyticDistribution:
     scalar passthrough.
 
     ``compact_support_ok`` records whether the density is continuous and
-    bounded away from zero on a compact support: test routines that rely on
-    this property warn (rather than fail) when it is absent.
+    bounded away from zero on a compact support: the limit law assumes it, so
+    :class:`~wshift.limitlaw.LimitLawSampler` warns (rather than fails) when it
+    is absent.
     """
 
     name: str

@@ -168,15 +168,25 @@ def _clamped_eps(gamma: float, n: int) -> float:
     return eps
 
 
+def _check_distinct(name: str, grid: tuple) -> None:
+    """A grid repeats no value: a repeat would rerun one cell on its stream and write it twice."""
+    for i, value in enumerate(grid):
+        if value in grid[:i]:
+            raise ParameterError(f"{name} repeats the value {value}")
+
+
 def _check_domain(cfg, positive_gammas: bool = False) -> None:
-    """Grids are non-empty, trials >= 20, n >= 1 and critical values positive and
-    finite; where a config has them, gammas are >= 0 (> 0 with ``positive_gammas``),
-    ``grid_k`` builds a :class:`~wshift.limitlaw.BridgeGrid` and ``law_reps >= 1``.
+    """Grids are non-empty without a repeated value, trials >= 20, n >= 1 and critical
+    values positive and finite; where a config has them, gammas are >= 0 (> 0 with
+    ``positive_gammas``), ``grid_k`` builds a :class:`~wshift.limitlaw.BridgeGrid` and
+    ``law_reps >= 1``.
     """
     values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for name, value in values.items():
-        if isinstance(value, tuple) and not value:
-            raise ParameterError(f"{name} needs at least one value")
+        if isinstance(value, tuple):
+            if not value:
+                raise ParameterError(f"{name} needs at least one value")
+            _check_distinct(name, value)
         if "critical" in name:
             _check_critical(value, name)
     if cfg.trials < 20:

@@ -7,8 +7,8 @@ critical value. Three critical-value sources are supported:
   uniform null with uniform weight, 0.46136 at level 0.05);
 * ``LimitLawCritical`` - Monte Carlo simulation of the null limit law;
 * ``ResamplingCritical`` - the finite-n reference distribution obtained by
-  redrawing samples of the same size from the null itself (the route to use
-  when the null is only available as data).
+  redrawing samples of the same size from the null itself (the route for a
+  null without a density, such as a data sample).
 
 Each source has a class-level ``name``, fields that are exactly the settings
 it reads, and ``draw(config, n, seed)``, which returns the reference
@@ -25,17 +25,18 @@ on the stream "resampling-reference" (``ResamplingCritical``) or "resampling-cri
 "null-critval" child seed). Its caller builds the statistic's plan, so that one
 plan serves every shifted sample of one size (:func:`_resampling_power`). Power
 is counted by :func:`_reject_counts`, the rejection counter the experiments use
-too. Without an explicit source a data-sample null is resampled and an
-analytic null goes through the limit law (``_default_source``, which the CLI's
-``auto`` source calls too). A Kolmogorov-Smirnov statistic is included as a
-comparator.
+too. Without an explicit source a null without a density is resampled and one
+with a density goes through the limit law (``_default_source``, which the CLI's
+``auto`` source calls too). Nothing here warns: the limit law's sampler does, when
+the null lacks a compact support (:class:`~wshift.limitlaw.LimitLawSampler`), and
+:func:`run_test` computes the statistic, with its support check, before any source
+builds one. A Kolmogorov-Smirnov statistic is included as a comparator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Iterable, Union
 
@@ -43,7 +44,6 @@ import numpy as np
 
 from ._seeds import derive_rng, derive_seed
 from .distributions import (
-    AnalyticDistribution,
     Distribution,
     EmpiricalDistribution,
     _interleaved_blocks,
@@ -80,22 +80,11 @@ __all__ = [
     "resampling_power",
 ]
 
-def _warn_if_assumption_violated(null: Distribution, omega: WeightMeasure) -> None:
-    if isinstance(null, AnalyticDistribution) and not null.compact_support_ok:
-        extra = (" (computing on the trimmed window)" if omega.trim > 0.0 else
-                 "; consider truncating it or trimming the weight measure")
-        warnings.warn(
-            f"null {null.name} lacks a continuous density bounded away from zero on a "
-            f"compact support; the asymptotic null law may not apply{extra}",
-            stacklevel=3,
-        )
-
 
 def wasserstein_statistic(samples: EmpiricalDistribution, null: Distribution,
                           omega: WeightMeasure | None = None) -> float:
     """Scaled squared distance ``n * W2^2`` between the sample and the null."""
     omega = omega if omega is not None else lebesgue()
-    _warn_if_assumption_violated(null, omega)
     return samples.n * w2_weighted_squared(samples, null, omega)
 
 
@@ -181,8 +170,8 @@ CriticalSource = Union[TabulatedCritical, LimitLawCritical, ResamplingCritical]
 
 
 def _default_source(null: Distribution) -> CriticalSource:
-    """Resampling for a data-sample null, the simulated limit law for an analytic one."""
-    return ResamplingCritical() if isinstance(null, EmpiricalDistribution) else LimitLawCritical()
+    """Resampling for a null without a density, the simulated limit law for one with a density."""
+    return ResamplingCritical() if null.density_fn is None else LimitLawCritical()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ W_K sum c u/sqrt K``, ``sum d B^2 = W^2.(d/K) - W_K W.(2du/K) + W_K^2 sum d u^2/
 A :class:`LimitLawSampler` is a plain description of the law: the null,
 the optional signal, the weight, the grid and the seed. A null without a
 density, and a law unbounded under an untrimmed weight, are rejected when it
-is built; a density at quantile below 1e-8 inside the weight window raises
+is built, and a null without ``compact_support_ok`` draws a warning then: the
+law assumes a density bounded away from zero on a compact support. A density
+at quantile below 1e-8 inside the weight window raises
 :class:`SingularDensityError`. :func:`case_ii_variance` checks alike.
 
 Bridges are drawn in chunks of 2^20 / K rows (``_CHUNK_NORMALS`` normals;
@@ -45,6 +47,7 @@ value's standard error is its exact bootstrap value, and
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -96,8 +99,8 @@ def _check_laws(null: Distribution, signal: Distribution | None, omega: WeightMe
     """The null has a density, and no quantile diverges inside omega's window."""
     if null.density_fn is None:
         raise ParameterError(
-            "limit-law sampling needs an analytic null with a density; "
-            "use a resampling critical source for data-defined nulls")
+            "limit-law sampling needs a null with a density; use a resampling critical "
+            "source for a null without one, a data sample or an analytic law such as twopoint")
     for law in (null, signal):
         if law is not None:
             _check_integrable(law, omega)
@@ -110,7 +113,8 @@ class LimitLawSampler:
     The null law is read through ``null.density_fn(null.quantile_fn(u))``,
     the boundary cross term through the quantile gap
     ``signal.quantile_fn(u) - null.quantile_fn(u)``. ``signal`` may be
-    ``None`` when only the null law is needed. Building it runs :func:`_check_laws`.
+    ``None`` when only the null law is needed. Building it runs :func:`_check_laws`,
+    then warns when the null is not ``compact_support_ok``.
     """
 
     null: Distribution
@@ -121,6 +125,14 @@ class LimitLawSampler:
 
     def __post_init__(self):
         _check_laws(self.null, self.signal, self.omega)
+        if not self.null.compact_support_ok:
+            extra = (" (computing on the trimmed window)" if self.omega.trim > 0.0 else
+                     "; consider truncating it or trimming the weight measure")
+            warnings.warn(
+                f"null {self.null.name} lacks a continuous density bounded away from zero on "
+                f"a compact support; the asymptotic null law may not apply{extra}",
+                stacklevel=3,
+            )
 
     @classmethod
     def from_distributions(cls, null: Distribution,

@@ -444,6 +444,29 @@ class TestTestCommand:
         assert "ceil((1 - alpha) * reps) < reps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_auto_resamples_a_null_without_a_density(self, tmp_path, capsys):
+        # twopoint is an analytic law without a density: the limit law cannot serve it
+        data = write_sample_csv(tmp_path / "coin.csv",
+                                np.random.default_rng(2).integers(0, 2, 200))
+        out = tmp_path / "out"
+        code = main(["test", "--null", "twopoint:0,1", "--data", str(data), "--reps", "200",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "test.json").read_text())["provenance"]["source"] == "resampling"
+
+    def test_unbounded_null_fails_without_a_warning(self, tmp_path):
+        # the statistic's support check runs before the limit law is built, and only
+        # building it warns about the law's assumption
+        data = write_sample_csv(tmp_path / "d.csv", np.linspace(-1.0, 1.0, 50))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "wshift", "test", "--null", "gaussian:0,1",
+                               "--data", str(data)], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "has unbounded support" in done.stderr
+        assert "Warning" not in done.stderr
+
 
 class TestConfigPrecedence:
     def test_file_overrides_default_flag_overrides_file(self, tmp_path, capsys):
@@ -534,6 +557,27 @@ class TestEmptyGridInputs:
                 for a in argv]
         assert main([*argv, "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedGridValues:
+    """A repeated grid value is an error, not a run that writes one row twice."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["phase", "--n", "100", "--trials", "20", "--betas", "0.5,0.5"],
+         "betas repeats the value 0.5"),
+        (["power-resample", "--data", "{panel}", "--n-grid", "3,3", "--trials", "20",
+          "--reps", "100"], "--n-grid repeats the value 3"),
+    ], ids=["phase", "power-resample"])
+    def test_rejected_before_any_output(self, tmp_path, capsys, argv, want):
+        panel = tmp_path / "panel.csv"
+        rng = np.random.default_rng(8)
+        panel.write_text("period,value\n" + "".join(
+            f"{label},{v}\n" for label in ("a", "b") for v in rng.normal(0, 1, 20)))
+        out = tmp_path / "out"
+        argv = [a.format(panel=panel) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"wshift {argv[0]}: error: {want}\n"
         assert not out.exists()
 
 

@@ -361,6 +361,22 @@ def test_empty_grid_rejected(config, field):
         config(**{field: ()})
 
 
+@pytest.mark.parametrize("config, field, grid", [
+    (PhaseConfig, "betas", (0.5, 0.2, 0.5)),
+    (PowerMapConfig, "deltas", (0.03, 0.03)),
+    (PowerMapConfig, "gammas", (5.5, 5.5)),
+    (ComparisonConfig, "p_grid", (0.4, 0.4)),
+    (ComparisonConfig, "gammas", (4.0, 4.0)),
+    (WeightComparisonConfig, "a_values", (0.0, 1.0, 0.0)),
+    (WeightComparisonConfig, "p_grid", (0.2, 0.2)),
+    (WeightComparisonConfig, "gammas", (7.0, 7.0)),
+])
+def test_repeated_grid_value_rejected(config, field, grid):
+    # a repeat would rerun one cell on its stream and write its row twice
+    with pytest.raises(ParameterError, match=f"^{field} repeats the value {grid[-1]}$"):
+        config(**{field: grid})
+
+
 def _with_one(bad: st.SearchStrategy, good: st.SearchStrategy = st.floats(0.0, 20.0)):
     """Grids of good values with one ``bad`` value somewhere in them."""
     return st.tuples(st.lists(good, max_size=3), bad, st.lists(good, max_size=3)).map(

@@ -41,6 +41,7 @@ from wshift.hypotest import (
     run_test,
     wasserstein_statistic,
 )
+from wshift.limitlaw import LimitLawSampler
 from wshift.transport import (
     displacement_interpolate,
     lebesgue,
@@ -113,30 +114,45 @@ class TestWassersteinStatistic:
             assert abs(moved - a * a * base) < 1e-9 * max(1.0, a * a * base)
 
     def test_warns_without_compact_support(self):
-        data = EmpiricalDistribution([0.1, 0.5])
-        with pytest.warns(UserWarning, match="compact"):
-            wasserstein_statistic(data, gaussian(0.0, 1.0), lebesgue(trim=0.05))
+        # the limit law's sampler warns, on the trimmed window it computes on
+        with pytest.warns(UserWarning, match="compact support.*trimmed window"):
+            LimitLawSampler.from_distributions(gaussian(0.0, 1.0), omega=lebesgue(trim=0.05))
 
-    @pytest.mark.parametrize("null, warns", [
-        pytest.param(uniform01(), False, id="uniform01"),
-        pytest.param(gaussian(0.0, 1.0), True, id="gaussian"),
-        pytest.param(gaussian(0.0, 1.0, -8.0, 8.0), False, id="truncated-gaussian"),
-        pytest.param(sine_distribution(0.5), False, id="sine-0.5"),
-        pytest.param(sine_distribution(1.0), True, id="sine-1"),
-        pytest.param(tail_distribution(0.3), False, id="tail"),
-        pytest.param(two_point(0.0, 1.0), True, id="twopoint"),
-        pytest.param(truncate(two_point(0.0, 1.0), -0.5, 0.5), True, id="truncated-twopoint"),
-        pytest.param(affine(uniform01(), 2.0, -1.0), False, id="affine"),
-        pytest.param(displacement_interpolate(uniform01(), sine_distribution(0.5), 0.3), True,
-                     id="displacement"),
-        pytest.param(EmpiricalDistribution([0.2, 0.4, 0.7]), False, id="empirical"),
+    @pytest.mark.parametrize("null, outcome", [
+        pytest.param(uniform01(), "silent", id="uniform01"),
+        pytest.param(gaussian(0.0, 1.0), "warns", id="gaussian"),
+        pytest.param(gaussian(0.0, 1.0, -8.0, 8.0), "silent", id="truncated-gaussian"),
+        pytest.param(sine_distribution(0.5), "silent", id="sine-0.5"),
+        pytest.param(sine_distribution(1.0), "warns", id="sine-1"),
+        pytest.param(tail_distribution(0.3), "silent", id="tail"),
+        pytest.param(two_point(0.0, 1.0), "refused", id="twopoint"),
+        pytest.param(truncate(two_point(0.0, 1.0), -0.5, 0.5), "refused",
+                     id="truncated-twopoint"),
+        pytest.param(affine(uniform01(), 2.0, -1.0), "silent", id="affine"),
+        pytest.param(displacement_interpolate(uniform01(), sine_distribution(0.5), 0.3),
+                     "refused", id="displacement"),
+        pytest.param(EmpiricalDistribution([0.2, 0.4, 0.7]), "refused", id="empirical"),
     ])
-    def test_compact_support_warning_by_null_kind(self, null, warns):
-        data = EmpiricalDistribution([0.1, 0.5, 0.9])
+    def test_compact_support_warning_by_null_kind(self, null, outcome):
+        # a law with a density warns exactly when it is not compact; one without is refused
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            wasserstein_statistic(data, null, lebesgue(trim=0.05))
-        assert any("compact" in str(w.message) for w in caught) == warns
+            if outcome == "refused":
+                with pytest.raises(ParameterError, match="needs a null with a density"):
+                    LimitLawSampler.from_distributions(null, omega=lebesgue(trim=0.05))
+            else:
+                LimitLawSampler.from_distributions(null, omega=lebesgue(trim=0.05))
+        assert any("compact" in str(w.message) for w in caught) == (outcome == "warns")
+
+    def test_statistic_and_resampling_do_not_warn(self):
+        # neither reads the limit law, so neither warns about its assumption
+        data = EmpiricalDistribution(np.linspace(-1.0, 1.0, 40))
+        config = TestConfig(null_dist=gaussian(0.0, 1.0), omega=lebesgue(trim=0.05),
+                            critical_source=ResamplingCritical(reps=200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wasserstein_statistic(data, gaussian(0.0, 1.0), lebesgue(trim=0.05))
+            assert run_test(data, config, seed=1).provenance["source"] == "resampling"
 
 
 class TestTypeICalibration:
@@ -254,8 +270,12 @@ class TestRunTest:
     @pytest.mark.parametrize("null, want", [
         (sample(uniform01(), 200, seed=5), ResamplingCritical()),
         (uniform01(), LimitLawCritical()),
-    ], ids=["data-null", "analytic-null"])
+        (two_point(0.0, 1.0), ResamplingCritical()),
+        (displacement_interpolate(uniform01(), sine_distribution(0.5), 0.3),
+         ResamplingCritical()),
+    ], ids=["data-null", "analytic-null", "twopoint", "displacement"])
     def test_default_source_follows_the_null(self, null, want):
+        # the limit law needs the null's density; a null without one is resampled
         assert TestConfig(null_dist=null).critical_source == want
 
     def test_data_null_without_a_source_resamples(self):
@@ -266,7 +286,7 @@ class TestRunTest:
     def test_limitlaw_needs_analytic_null(self):
         ref = sample(uniform01(), 100, seed=2)
         cfg = TestConfig(null_dist=ref, critical_source=LimitLawCritical(reps=1000))
-        with pytest.raises(ParameterError, match="analytic null"):
+        with pytest.raises(ParameterError, match="needs a null with a density"):
             run_test(sample(ref, 50, seed=3), cfg, seed=4)
 
     def test_outcome_invariant_enforced(self):
